@@ -17,7 +17,6 @@ from clonelab import (
     HomMap,
     RADO,
     embedding_from,
-    extend_step,
     noncommuting_witness,
     rado_adjacency,
     rado_extension_witness,
@@ -56,7 +55,7 @@ for x in (2, 3, 4):
 print("  backward too: sigma^-1(5) =", sigma.inverse(5))
 
 # forcing is incremental and memoised
-pair = extend_step(sigma, 10)
+pair = (10, sigma(10))
 print(f"  one more step: sigma({pair[0]}) = {pair[1]}")
 
 # ---------------------------------------------------------------------

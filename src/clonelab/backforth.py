@@ -397,12 +397,6 @@ def embedding_from(structure: RelStructure, pairs=(), avoid=(),
     return LazyEmbedding(structure, seed, avoid, scan_cap)
 
 
-def extend_step(mapping, x):
-    """Force one more point, returning the matched pair; the value is
-    recorded in the map's memo."""
-    return (x, mapping(x))
-
-
 # ---------------------------------------------------------------------------
 # witnesses for transitivity and trivial centre
 # ---------------------------------------------------------------------------

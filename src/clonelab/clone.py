@@ -37,6 +37,7 @@ from .fnspace import (
     carrier_from_json,
     carrier_to_json,
     compose,
+    compose_tables,
     conjugate_op,
     make_op,
     projection,
@@ -55,7 +56,7 @@ class CloneFragment:
     them.
     """
 
-    __slots__ = ("carrier", "max_arity", "ops_by_arity",
+    __slots__ = ("carrier", "max_arity", "ops_by_arity", "_members",
                  "contains_projections", "closed_within_bound")
 
     def __init__(self, carrier: Carrier, max_arity: int,
@@ -81,6 +82,8 @@ class CloneFragment:
             if unique:
                 grouped[arity] = tuple(sorted(unique.values(), key=lambda o: o.table))
         self.ops_by_arity = grouped
+        self._members = {(n, op.table): op
+                         for n, level in grouped.items() for op in level}
         if contains_projections is None:
             contains_projections = all(
                 projection(carrier, n, i) in self.ops(n)
@@ -106,7 +109,12 @@ class CloneFragment:
         return sum(len(v) for v in self.ops_by_arity.values())
 
     def contains(self, op: FinOp) -> bool:
-        return op in self.ops_by_arity.get(op.arity, ())
+        return (op.carrier == self.carrier
+                and self.member(op.arity, op.table) is not None)
+
+    def member(self, arity: int, table) -> Optional[FinOp]:
+        """The member with this value table, or None."""
+        return self._members.get((arity, table))
 
     def unary_monoid(self) -> MonoidSet:
         return monoid_set(self.carrier, self.ops(1))
@@ -139,32 +147,39 @@ def close_fragment(gens: Iterable[FinOp], max_arity: int = 3,
     seeded, then compositions are added until nothing new appears within
     the arity bound.
 
-    Each arity level is capped at ``op_cap`` operations; crossing the cap
-    raises :class:`BudgetExceeded`.  Nullary generators are supported and
-    also spawn their constant liftings at every arity within the bound.
+    Semi-naive rounds on raw value tables: each round composes only the
+    identities that involve an operation new in the previous round, and
+    the tables are wrapped as operations once, at the end.  Each arity
+    level is capped at ``op_cap`` operations; crossing the cap raises
+    :class:`BudgetExceeded`.  Nullary generators are supported and also
+    spawn their constant liftings at every arity within the bound.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     carrier = gens[0].carrier
     carrier.require_finite()
-    ops: Dict[int, Dict[tuple, FinOp]] = {n: {} for n in range(0, max_arity + 1)}
-    fresh: List[FinOp] = []
+    size = carrier.size
+    # per arity, table -> label (projections and generators keep theirs)
+    levels: Dict[int, Dict[tuple, Optional[str]]] = {
+        n: {} for n in range(0, max_arity + 1)}
+    fresh: List[Tuple[int, tuple]] = []
 
-    def add(op: FinOp):
-        level = ops[op.arity]
-        if op.table not in level:
-            level[op.table] = op
-            fresh.append(op)
+    def add(arity: int, table: tuple, label: Optional[str] = None):
+        level = levels[arity]
+        if table not in level:
+            level[table] = label
+            fresh.append((arity, table))
             if len(level) > op_cap:
                 raise BudgetExceeded(
                     f"fragment closure exceeded {op_cap} operations at arity "
-                    f"{op.arity}"
+                    f"{arity}"
                 )
 
     for n in range(1, max_arity + 1):
         for i in range(1, n + 1):
-            add(projection(carrier, n, i))
+            e = projection(carrier, n, i)
+            add(n, e.table, e.label)
     for g in gens:
         if g.carrier != carrier:
             raise ValueError("generators must share one carrier")
@@ -172,55 +187,59 @@ def close_fragment(gens: Iterable[FinOp], max_arity: int = 3,
             raise ValueError(
                 f"generator arity {g.arity} exceeds the bound {max_arity}"
             )
-        add(g)
+        add(g.arity, g.table, g.label)
 
     while fresh:
-        new_ops = fresh
+        new = {n: set() for n in levels}
+        for n, table in fresh:
+            new[n].add(table)
         fresh = []
-        snapshot = {n: list(level.values()) for n, level in ops.items()}
-        new_set = {(op.arity, op.table) for op in new_ops}
-
-        def is_new(op):
-            return (op.arity, op.table) in new_set
-
+        snapshot = {n: list(level) for n, level in levels.items()}
         for n, outers in snapshot.items():
             if n == 0:
                 # a nullary op composes into its constant at every arity
                 for f in outers:
-                    for m in range(0, max_arity + 1):
-                        if is_new(f):
-                            add(compose(f, [], target_arity=m))
+                    if f in new[0]:
+                        for m in range(0, max_arity + 1):
+                            add(m, compose_tables(f, (), size, m))
                 continue
             for m in range(0, max_arity + 1):
-                inners = snapshot[m]
-                if not inners:
-                    continue
+                new_m = new[m]
                 for f in outers:
-                    f_new = is_new(f)
-                    for gs in product(inners, repeat=n):
-                        if f_new or any(is_new(g) for g in gs):
-                            add(compose(f, gs))
+                    f_new = f in new[n]
+                    for gs in product(snapshot[m], repeat=n):
+                        if f_new or not new_m.isdisjoint(gs):
+                            add(m, compose_tables(f, gs, size, m))
 
-    grouped = {n: tuple(level.values()) for n, level in ops.items() if level}
+    grouped = {n: tuple(FinOp(carrier, n, table=table, label=label)
+                        for table, label in level.items())
+               for n, level in levels.items() if level}
     return CloneFragment(carrier, max_arity, grouped,
                          contains_projections=True, closed_within_bound=True)
 
 
+def composition_identities(frag: CloneFragment):
+    """Every composition of fragment members that stays within the bound.
+
+    Yields ``(f, gs, m, table)``: an n-ary member f, n members gs of
+    arity m, and the value table of f(g_1, ..., g_n).  A nullary f
+    yields its constant lifting at every arity m in 0..max_arity.  The
+    table need not belong to the fragment; look it up with
+    :meth:`CloneFragment.member`.
+    """
+    size = frag.carrier.size
+    for n in frag.arities():
+        for f in frag.ops(n):
+            for m in range(0, frag.max_arity + 1):
+                for gs in product(frag.ops(m), repeat=n):
+                    yield f, gs, m, compose_tables(
+                        f.table, [g.table for g in gs], size, m)
+
+
 def is_closed_within_bound(frag: CloneFragment) -> bool:
     """Exhaustively confirm the closure flag of a fragment."""
-    for n in frag.arities():
-        if n == 0:
-            for f in frag.ops(0):
-                for m in range(0, frag.max_arity + 1):
-                    if not frag.contains(compose(f, [], target_arity=m)):
-                        return False
-            continue
-        for f in frag.ops(n):
-            for m in frag.arities():
-                for gs in product(frag.ops(m), repeat=n):
-                    if not frag.contains(compose(f, gs)):
-                        return False
-    return True
+    return all(frag.member(m, table) is not None
+               for _, _, m, table in composition_identities(frag))
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +354,14 @@ class CloneHom:
                 e = projection(src.carrier, n, i)
                 if src.contains(e) and self.mapping[e] != projection(tgt.carrier, n, i):
                     return False
-        for n in src.arities():
-            for f in src.ops(n):
-                if n == 0:
-                    for m in range(0, src.max_arity + 1):
-                        h = compose(f, [], target_arity=m)
-                        if src.contains(h):
-                            expected = compose(self.mapping[f], [], target_arity=m)
-                            if self.mapping[h] != expected:
-                                return False
-                    continue
-                for m in src.arities():
-                    for gs in product(src.ops(m), repeat=n):
-                        h = compose(f, gs)
-                        if src.contains(h):
-                            expected = compose(self.mapping[f],
-                                               [self.mapping[g] for g in gs])
-                            if self.mapping[h] != expected:
-                                return False
+        image = {op: img.table for op, img in self.mapping.items()}
+        for f, gs, m, table in composition_identities(src):
+            h = src.member(m, table)
+            if h is not None:
+                expected = compose_tables(image[f], [image[g] for g in gs],
+                                          tgt.carrier.size, m)
+                if image[h] != expected:
+                    return False
         return True
 
     def is_surjective(self) -> bool:
@@ -421,29 +430,19 @@ def enumerate_clone_homs(source: CloneFragment,
 
     # composition triples, indexed by the latest participant rank
     fire_at: List[List[tuple]] = [[] for _ in range(count)]
-    for n in source.arities():
-        for f in source.ops(n):
-            if n == 0:
-                for m in range(0, source.max_arity + 1):
-                    h = compose(f, [], target_arity=m)
-                    if source.contains(h):
-                        trip = (rank[f], (), rank[h], m)
-                        fire_at[max(rank[f], rank[h])].append(trip)
-                continue
-            for m in source.arities():
-                for gs in product(source.ops(m), repeat=n):
-                    h = compose(f, gs)
-                    if source.contains(h):
-                        ranks = [rank[f], rank[h]] + [rank[g] for g in gs]
-                        trip = (rank[f], tuple(rank[g] for g in gs), rank[h], m)
-                        fire_at[max(ranks)].append(trip)
+    for f, gs, m, table in composition_identities(source):
+        h = source.member(m, table)
+        if h is not None:
+            g_rs = tuple(rank[g] for g in gs)
+            fire_at[max(rank[f], rank[h], *g_rs)].append((rank[f], g_rs, rank[h], m))
 
+    size = target.carrier.size
     comp_cache: Dict[tuple, tuple] = {}
 
     def target_compose(f_img: FinOp, g_imgs, m: int):
         key = (f_img.table, tuple(g.table for g in g_imgs), m)
         if key not in comp_cache:
-            comp_cache[key] = compose(f_img, g_imgs, target_arity=m).table
+            comp_cache[key] = compose_tables(key[0], key[1], size, m)
         return comp_cache[key]
 
     assignment: List[Optional[FinOp]] = [None] * count

@@ -33,7 +33,7 @@ from .fnspace import (
     window,
 )
 from .structures import default_probe_points
-from .topology import interpolant, restriction_signature
+from .topology import interpolant, restriction_signature, source_ops
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,6 @@ class HomMap:
                        rule=lambda *args: self.extend_at(f, args, modulus))
 
 
-def extend_hom(hom: HomMap, f: FinOp,
-               modulus: Optional[ContinuityModulus] = None) -> FinOp:
-    return hom.extended_op(f, modulus)
-
-
 # ---------------------------------------------------------------------------
 # deriving a modulus by search
 # ---------------------------------------------------------------------------
@@ -164,7 +159,7 @@ def derive_modulus(hom: HomMap, args, ops: Optional[Sequence[FinOp]] = None,
         args = (args,)
     if ops is None:
         try:
-            ops = _enumerable_source(hom.source)
+            ops = source_ops(hom.source)
         except TypeError:
             raise ModulusNotFound(
                 "the source cannot be enumerated; pass a sample of "
@@ -203,21 +198,6 @@ def derive_modulus(hom: HomMap, args, ops: Optional[Sequence[FinOp]] = None,
         if works(win):
             points = rest
     return window(hom.carrier, points)
-
-
-def _enumerable_source(source):
-    ops = getattr(source, "ops", None)
-    if callable(ops):
-        try:
-            out = []
-            for arity in source.arities():
-                out.extend(source.ops(arity))
-            return out
-        except (TypeError, AttributeError):
-            return list(ops())
-    if ops is not None:
-        return list(ops)
-    return list(source)
 
 
 # ---------------------------------------------------------------------------

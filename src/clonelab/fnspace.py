@@ -9,8 +9,9 @@ with an enumerator.
 
 A :class:`FinOp` is an operation of fixed finite arity on a carrier.  On a
 finite carrier it is stored extensionally as a value table in row-major
-order (leftmost argument most significant).  On a lazy carrier it is given
-by a deterministic rule and memoised, so evaluation is observationally pure.
+order (leftmost argument most significant), and :func:`compose_tables`
+composes such tables directly.  On a lazy carrier it is given by a
+deterministic rule and memoised, so evaluation is observationally pure.
 
 A :class:`Window` is a finite subset of a carrier.  Two operations of the
 same arity are "close at window J" when they agree on every argument tuple
@@ -271,6 +272,22 @@ def constant_op(carrier: Carrier, value, arity: int = 0) -> FinOp:
     return FinOp(carrier, arity, rule=lambda *args: fixed)
 
 
+def compose_tables(f_table, g_tables, size: int, m: int) -> tuple:
+    """The value table of f(g1(xs), ..., gn(xs)) from raw row-major tables.
+
+    ``f_table`` is n-ary and each of the n ``g_tables`` is m-ary over
+    ``size`` points; nothing is validated.  For nullary f the result is
+    the constant m-ary table.  Every finite composition in the package
+    goes through here.
+    """
+    if not g_tables:
+        return (f_table[0],) * size ** m
+    index = g_tables[0]
+    for g in g_tables[1:]:
+        index = [i * size + v for i, v in zip(index, g)]
+    return tuple(map(f_table.__getitem__, index))
+
+
 def compose(f: FinOp, gs, target_arity: Optional[int] = None) -> FinOp:
     """Composition f(g1(xs), ..., gn(xs)) where f is n-ary and every g is
     m-ary on the same carrier; the result is m-ary.
@@ -294,11 +311,7 @@ def compose(f: FinOp, gs, target_arity: Optional[int] = None) -> FinOp:
         m = 0 if target_arity is None else target_arity
     carrier = f.carrier
     if carrier.is_finite and f.table is not None and all(g.table is not None for g in gs):
-        size = carrier.size
-        table = []
-        for args in all_tuples(range(size), m):
-            inner = tuple(g.table[tuple_to_index(args, size)] for g in gs)
-            table.append(f.table[tuple_to_index(inner, size)])
+        table = compose_tables(f.table, [g.table for g in gs], carrier.size, m)
         return FinOp(carrier, m, table=table)
 
     def composed(*args):
@@ -410,11 +423,6 @@ class Bijection:
         if op.table is None:
             raise NotBijective("lazy operation has no table to invert")
         return cls.from_table(op.carrier, op.table)
-
-    @classmethod
-    def from_callables(cls, carrier: Carrier, fwd: Callable, bwd: Callable,
-                       label: Optional[str] = None) -> "Bijection":
-        return cls(carrier, fwd, bwd, label=label)
 
     @classmethod
     def identity(cls, carrier: Carrier) -> "Bijection":

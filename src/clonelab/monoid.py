@@ -29,7 +29,7 @@ from .fnspace import (
     as_bijection,
     carrier_from_json,
     carrier_to_json,
-    compose,
+    compose_tables,
     conjugate_op,
     equal_on_window,
     identity_op,
@@ -123,11 +123,8 @@ def group_set(carrier: Carrier, ops: Iterable[FinOp]) -> GroupSet:
 
 def _is_closed(carrier: Carrier, members) -> bool:
     tables = {op.table for op in members}
-    for f in members:
-        for g in members:
-            if compose(f, [g]).table not in tables:
-                return False
-    return True
+    return all(compose_tables(f, (g,), carrier.size, 1) in tables
+               for f in tables for g in tables)
 
 
 def _inverse_table(table):
@@ -149,9 +146,12 @@ def close_under_composition(gens: Iterable[FinOp], include_identity: bool = True
     """The transformation monoid generated by unary maps on a finite
     carrier.
 
-    Worklist closure; the result can never exceed size**size maps.  An
-    optional cap raises :class:`BudgetExceeded` once crossed, for callers
-    that want to bound exploratory runs.
+    Breadth-first search of the right Cayley graph (Froidure and Pin,
+    1997): every map found is multiplied on the right by each generator,
+    on raw value tables, until no new map appears.  The result can never
+    exceed size**size maps.  An optional cap raises
+    :class:`BudgetExceeded` once crossed, for callers that want to bound
+    exploratory runs.
     """
     gens = list(gens)
     if not gens:
@@ -161,45 +161,38 @@ def close_under_composition(gens: Iterable[FinOp], include_identity: bool = True
     for g in gens:
         if g.arity != 1 or g.carrier != carrier:
             raise ValueError("generators must be unary maps on one carrier")
-    known = {}
-    frontier = []
-
-    def add(op):
-        if op.table not in known:
-            known[op.table] = op
-            frontier.append(op)
-
-    if include_identity:
-        add(identity_op(carrier))
+    size = carrier.size
+    identity = identity_op(carrier)
+    # table -> labelled operation for the seeds, None for products
+    known = {identity.table: identity} if include_identity else {}
     for g in gens:
-        add(g)
-    while frontier:
-        new = frontier.pop()
-        for other in list(known.values()):
-            add(compose(new, [other]))
-            add(compose(other, [new]))
+        known.setdefault(g.table, g)
+    gen_tables = list(dict.fromkeys(g.table for g in gens))
+    queue = list(known)
+    for f in queue:
+        for g in gen_tables:
+            fg = compose_tables(f, (g,), size, 1)
+            if fg not in known:
+                known[fg] = None
+                queue.append(fg)
         if cap is not None and len(known) > cap:
             raise BudgetExceeded(
                 f"monoid closure exceeded cap {cap} (size bound is "
-                f"{carrier.size ** carrier.size})"
+                f"{size ** size})"
             )
-    return MonoidSet(carrier, tuple(sorted(known.values(), key=lambda o: o.table)),
-                     identity_op(carrier).table in known, True)
+    ops = tuple(op or FinOp(carrier, 1, table=table)
+                for table, op in sorted(known.items()))
+    return MonoidSet(carrier, ops, identity.table in known, True)
 
 
 def invertibles(m: MonoidSet) -> GroupSet:
-    """The units of a closed finite monoid: members with a two-sided
-    inverse inside the set."""
+    """The units of a finite monoid: members with a two-sided inverse
+    inside the set.  Both flags of the result are computed, so the units
+    of a set that is not closed are reported as not closed."""
     m.require_extensional()
     tables = {op.table for op in m.ops}
-    units = []
-    for op in m.ops:
-        inv = _inverse_table(op.table)
-        if inv is not None and inv in tables:
-            units.append(op)
-    return GroupSet(m.carrier, tuple(units),
-                    identity_op(m.carrier) in units or None,
-                    True if units else None)
+    return group_set(m.carrier, (op for op in m.ops
+                                 if _inverse_table(op.table) in tables))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +263,11 @@ def weakly_directed_witnesses(m: MonoidSet, targets):
 def centre(m: MonoidSet) -> MonoidSet:
     """Members commuting with every member."""
     m.require_extensional()
-    central = []
-    for f in m.ops:
-        if all(compose(f, [g]).table == compose(g, [f]).table for g in m.ops):
-            central.append(f)
+    size = m.carrier.size
+    central = [f for f in m.ops
+               if all(compose_tables(f.table, (g.table,), size, 1)
+                      == compose_tables(g.table, (f.table,), size, 1)
+                      for g in m.ops)]
     return MonoidSet(m.carrier, tuple(central),
                      identity_op(m.carrier) in central, None)
 
@@ -301,10 +295,12 @@ def injective_endos_fixing(m: MonoidSet, fixed: Iterable[FinOp]):
         raise ValueError("monoid must be closed under composition")
     if not m.contains_identity:
         raise ValueError("monoid must contain the identity")
-    ops = list(m.ops)
-    index = {op.table: i for i, op in enumerate(ops)}
-    n = len(ops)
-    comp = [[index[compose(f, [g]).table] for g in ops] for f in ops]
+    tables = m.tables()
+    index = {t: i for i, t in enumerate(tables)}
+    n = len(tables)
+    size = m.carrier.size
+    comp = [[index[compose_tables(f, (g,), size, 1)] for g in tables]
+            for f in tables]
     id_idx = index[identity_op(m.carrier).table]
 
     fixed_idx = {id_idx}

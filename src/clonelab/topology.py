@@ -92,16 +92,21 @@ def closure_at_window(ops, win: Window) -> Dict[tuple, FinOp]:
     return out
 
 
-def _candidate_ops(source, arity: int):
+def source_ops(source, arity: Optional[int] = None) -> List[FinOp]:
+    """The operations of an interpolation source in its canonical order,
+    only those of one arity when ``arity`` is given.
+
+    A clone fragment is read arity by arity, a monoid set through its
+    ``ops`` tuple, and anything else by iteration, so a source that
+    cannot be iterated raises TypeError.
+    """
     ops = getattr(source, "ops", None)
     if callable(ops):
-        try:
-            return list(ops(arity))
-        except TypeError:
-            return list(ops())
-    if ops is not None:
-        return [op for op in ops if op.arity == arity]
-    return [op for op in source if op.arity == arity]
+        arities = source.arities() if arity is None else (arity,)
+        return [op for n in arities for op in ops(n)]
+    if ops is None:
+        ops = source
+    return [op for op in ops if arity is None or op.arity == arity]
 
 
 def interpolant(f: FinOp, source, win: Window) -> FinOp:
@@ -116,7 +121,7 @@ def interpolant(f: FinOp, source, win: Window) -> FinOp:
     custom = getattr(source, "interpolant", None)
     if custom is not None:
         return custom(f, win)
-    for g in _candidate_ops(source, f.arity):
+    for g in source_ops(source, f.arity):
         if equal_on_window(f, g, win):
             return g
     raise InterpolationFailure(

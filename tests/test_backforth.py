@@ -27,7 +27,6 @@ from clonelab.backforth import (
     automorphism_from,
     base_point,
     embedding_from,
-    extend_step,
     noncommuting_witness,
     probe_stream,
     transitivity_witness,
@@ -246,11 +245,10 @@ def test_rado_seed_validation():
         automorphism_from(R, [(0, 5), (1, 5)])
 
 
-def test_extend_step_records_pairs():
+def test_forcing_a_point_records_the_pair():
     # with no seed constraints the smallest fresh vertex answers first
     f = automorphism_from(R)
-    x, y = extend_step(f, 4)
-    assert (x, y) == (4, 0)
+    assert f(4) == 0
     assert f.snapshot() == [(4, 0)]
 
 

@@ -19,6 +19,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonelab.errors import BudgetExceeded, NotBijective
 from clonelab.clone import (
@@ -119,6 +121,46 @@ def test_generator_arity_above_bound_rejected():
 def test_op_cap_enforced():
     with pytest.raises(BudgetExceeded):
         close_fragment([NOT, AND], max_arity=2, op_cap=10)
+
+
+def everything_with_everything(gens, max_arity):
+    """Slow oracle for the closure: per arity, the tables reached by
+    composing every member with every member, evaluated pointwise,
+    until nothing new appears."""
+    levels = {n: set() for n in range(max_arity + 1)}
+    for n in range(1, max_arity + 1):
+        levels[n].update(projection(B2, n, i).table for i in range(1, n + 1))
+    for g in gens:
+        levels[g.arity].add(g.table)
+    while True:
+        found = False
+        ops = {n: [make_op(B2, n, table=t) for t in level]
+               for n, level in levels.items()}
+        for n, outers in ops.items():
+            for f in outers:
+                for m in levels:
+                    for gs in itertools.product(ops[m], repeat=n):
+                        table = tuple(
+                            f(*(g(*args) for g in gs))
+                            for args in itertools.product(range(2), repeat=m))
+                        if table not in levels[m]:
+                            levels[m].add(table)
+                            found = True
+        if not found:
+            return {n: sorted(level) for n, level in levels.items() if level}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.integers(0, 1), min_size=2 ** n, max_size=2 ** n))),
+    min_size=1, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_closure_matches_composing_everything_with_everything(raw):
+    gens = [make_op(B2, n, table=t) for n, t in raw]
+    frag = close_fragment(gens, max_arity=2)
+    got = {n: sorted(op.table for op in frag.ops(n)) for n in frag.arities()}
+    assert got == everything_with_everything(gens, 2)
+    assert is_closed_within_bound(frag)
 
 
 # ---------------------------------------------------------------------------

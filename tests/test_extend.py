@@ -23,7 +23,6 @@ from clonelab.extend import (
     check_well_defined,
     conjugation_modulus,
     derive_modulus,
-    extend_hom,
 )
 from clonelab.fnspace import (
     RATIONALS,
@@ -97,7 +96,7 @@ def test_extend_at_checks_arity():
 def test_extension_matches_conjugation_on_all_of_t3():
     hom = t3_hom()
     for f in T3:
-        assert extend_hom(hom, f).table == conjugate_op(THETA, f).table
+        assert hom.extended_op(f).table == conjugate_op(THETA, f).table
 
 
 def test_extend_at_single_values():
@@ -143,7 +142,7 @@ def test_binary_extension_on_fragment_source():
     swap = Bijection.from_table(b2, (1, 0))
     and_op = make_op(b2, 2, table=(0, 0, 0, 1))
     hom = HomMap(b2, close_fragment([and_op]), theta=swap)
-    ext = extend_hom(hom, and_op)
+    ext = hom.extended_op(and_op)
     assert ext.table == conjugate_op(swap, and_op).table == (0, 1, 1, 1)
     # at (0, 0) the modulus window is the single point 1, and any
     # interpolant g agreeing with the target at (1, 1) gives the value
@@ -211,7 +210,7 @@ def test_pl_extension_values_by_hand():
 def test_pl_extended_op_is_lazy_and_memoised():
     hom = pl_hom()
     succ = make_op(RATIONALS, 1, rule=lambda x: x + 1)
-    ext = extend_hom(hom, succ)
+    ext = hom.extended_op(succ)
     assert not ext.carrier.is_finite
     assert ext(0) == 2
     assert ext(0) == 2

@@ -17,9 +17,11 @@ from clonelab.fnspace import (
     RATIONALS,
     Bijection,
     Window,
+    all_tuples,
     carrier_from_json,
     carrier_to_json,
     compose,
+    compose_tables,
     constant_op,
     element_from_json,
     element_to_json,
@@ -225,6 +227,28 @@ def test_compose_with_all_projections_is_identity(size, data):
     assert compose(f, projections) == f
 
 
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_compose_tables_matches_pointwise_evaluation(data):
+    # the raw-table kernel against evaluating f(g1(xs), ..., gn(xs))
+    # argument tuple by argument tuple through FinOp.__call__
+    size = data.draw(st.integers(min_value=2, max_value=3))
+    n = data.draw(st.integers(min_value=0, max_value=3))
+    m = data.draw(st.integers(min_value=0, max_value=3))
+    carrier = finite_carrier(size)
+
+    def random_op(arity):
+        entries = size ** arity
+        return make_op(carrier, arity, table=data.draw(st.lists(
+            st.integers(0, size - 1), min_size=entries, max_size=entries)))
+
+    f = random_op(n)
+    gs = [random_op(m) for _ in range(n)]
+    expected = tuple(f(*(g(*args) for g in gs))
+                     for args in all_tuples(range(size), m))
+    assert compose_tables(f.table, [g.table for g in gs], size, m) == expected
+
+
 # ---------------------------------------------------------------------------
 # lazy carriers
 # ---------------------------------------------------------------------------
@@ -357,9 +381,7 @@ def test_bijection_from_op_requires_unary():
 
 
 def test_lazy_bijection_round_trip():
-    shift = Bijection.from_callables(
-        RATIONALS, lambda x: x + 1, lambda y: y - 1, label="x+1"
-    )
+    shift = Bijection(RATIONALS, lambda x: x + 1, lambda y: y - 1, label="x+1")
     assert shift(Fraction(1, 2)) == Fraction(3, 2)
     assert shift.inverse(shift(7)) == 7
 

@@ -103,6 +103,18 @@ def test_invertibles_of_full_unary_monoid():
     assert tables(units) == [[0, 1], [1, 0]]
 
 
+def test_invertibles_computes_both_flags():
+    # {id, (01), (12)} is not closed: (01)(12) is a 3-cycle outside it
+    s01 = make_op(B3, 1, table=[1, 0, 2])
+    s12 = make_op(B3, 1, table=[0, 2, 1])
+    units = invertibles(monoid_set(B3, [identity_op(B3), s01, s12]))
+    assert len(units) == 3
+    assert units.contains_identity is True
+    assert units.closed_under_composition is False
+    # a missing identity is reported as False, not as unknown
+    assert invertibles(monoid_set(B3, [s01])).contains_identity is False
+
+
 def test_group_set_rejects_non_invertible_member():
     with pytest.raises(ValueError):
         group_set(B2, [ID2, C0])
@@ -178,6 +190,39 @@ def test_transitive_implies_weakly_directed(data):
     m = close_under_composition(gens)
     if is_transitive(m):
         assert is_weakly_directed(m)
+
+
+def all_pairs_closure(tables, include_identity):
+    """Slow oracle: compose every member with every member until no new
+    map appears."""
+    size = len(tables[0])
+    known = set(tables)
+    if include_identity:
+        known.add(tuple(range(size)))
+    while True:
+        new = {tuple(f[g[x]] for x in range(size))
+               for f in known for g in known} - known
+        if not new:
+            return sorted(known)
+        known |= new
+
+
+@given(data=st.data(), include_identity=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_closure_matches_all_pairs_fixpoint(data, include_identity):
+    size = data.draw(st.integers(min_value=2, max_value=4))
+    carrier = finite_carrier(size)
+    k = data.draw(st.integers(min_value=1, max_value=3))
+    gens = [
+        make_op(carrier, 1, table=data.draw(
+            st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+        for _ in range(k)
+    ]
+    expected = all_pairs_closure([g.table for g in gens], include_identity)
+    m = close_under_composition(gens, include_identity=include_identity)
+    assert m.tables() == expected
+    assert m.contains_identity == (tuple(range(size)) in expected)
+    assert m.closed_under_composition is True
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +338,7 @@ def test_identity_conjugation_does_not_exchange_constants():
 
 
 def test_action_isomorphism_on_rationals_needs_window():
-    shift = Bijection.from_callables(RATIONALS, lambda x: x + 1, lambda y: y - 1)
+    shift = Bijection(RATIONALS, lambda x: x + 1, lambda y: y - 1)
     f = make_op(RATIONALS, 1, rule=lambda x: x + 2)
     with pytest.raises(ValueError):
         is_action_isomorphism([(f, f)], shift)
