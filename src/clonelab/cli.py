@@ -14,11 +14,13 @@ one JSON report with a fixed envelope::
     }
 
 The process exits 0 when ``failures`` is empty, 1 when a checked
-identity failed, and 2 on malformed input.  Reports are deterministic
-byte for byte apart from the timestamp.  Negative mathematical verdicts
-of query-style commands (a structure that simply is not homogeneous, a
-set that is not dense) are results, not failures; failures are reserved
-for identities that the underlying theory says must hold.
+identity failed, and 2 on malformed input or an exhausted search budget.
+Reports are deterministic byte for byte apart from the timestamp.
+Negative mathematical verdicts of query-style commands (a structure that
+simply is not homogeneous, a set that is not dense, a pair of targets
+with no common ancestor, reported with null ``c``, ``f`` and ``g``) are
+results, not failures; failures are reserved for identities that the
+underlying theory says must hold.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .clone import (
     fragment_from_json,
     verify_conjugation_lifting,
 )
-from .errors import WorkbenchError
+from .errors import NoCommonAncestor, WorkbenchError
 from .extend import (
     ContinuityModulus,
     HomMap,
@@ -424,7 +426,12 @@ def cmd_transitivity(ns) -> Tuple[dict, dict, list]:
         if "pairs" in data:
             witnesses = []
             for a, b in data["pairs"]:
-                c, (f, g) = weakly_directed_witnesses(m, (a, b))
+                try:
+                    c, (f, g) = weakly_directed_witnesses(m, (a, b))
+                except NoCommonAncestor:
+                    witnesses.append({"a": a, "b": b, "f": None, "g": None,
+                                      "c": None})
+                    continue
                 witnesses.append({"a": a, "b": b, "f": list(f.table),
                                   "g": list(g.table), "c": c})
             results["witnesses"] = witnesses

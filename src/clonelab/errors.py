@@ -32,6 +32,11 @@ class InterpolationFailure(WorkbenchError):
     requested window.  Counts as evidence against density."""
 
 
+class NoCommonAncestor(WorkbenchError, ValueError):
+    """No single element is sent onto every target by members of a
+    monoid: a negative answer about the monoid, not malformed input."""
+
+
 class InvalidSeed(WorkbenchError):
     """A seed mapping is not a partial isomorphism of the structure it
     was offered to."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExceeded, UnsupportedLazyCarrier
+from .errors import BudgetExceeded, NoCommonAncestor, UnsupportedLazyCarrier
 from .fnspace import (
     Carrier,
     FinOp,
@@ -243,9 +243,10 @@ def weakly_directed_witnesses(m: MonoidSet, targets):
 
     Returns (c, (f_1, ..., f_n)) with f_i(c) = targets[i], choosing the
     smallest element code for c and the first operation in canonical table
-    order for each f_i, so the answer is deterministic.  Raises ValueError
-    when no ancestor exists (the set is not weakly directed enough for
-    these targets).
+    order for each f_i, so the answer is deterministic.  Raises
+    NoCommonAncestor (a ValueError) when no ancestor exists (the set is
+    not weakly directed enough for these targets), and ValueError for
+    malformed targets.
     """
     m.require_extensional()
     targets = tuple(targets)
@@ -256,7 +257,7 @@ def weakly_directed_witnesses(m: MonoidSet, targets):
             raise ValueError(f"target {a!r} outside carrier")
     hit = _witnesses_or_none(m.ops, m.carrier, targets)
     if hit is None:
-        raise ValueError(f"no common ancestor for targets {targets}")
+        raise NoCommonAncestor(f"no common ancestor for targets {targets}")
     return hit
 
 

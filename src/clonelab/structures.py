@@ -341,8 +341,12 @@ def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
 
     Every partial isomorphism between induced substructures is tested for
     extension to a full automorphism, in increasing domain size, smallest
-    witness first.  Returns (True, None) or (False, witness) where the
-    witness is a non-extendable PartialIso.
+    witness first.  For each domain the restrictions of all automorphisms
+    to it are collected into one set, so an image tuple extends exactly
+    when it is in that set; only images outside it are tested for being
+    a partial isomorphism (a restriction of an automorphism always is).
+    Returns (True, None) or (False, witness) where the witness is a
+    non-extendable PartialIso.
     """
     _check_size(a, size_limit)
     n = a.carrier.size
@@ -350,13 +354,12 @@ def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
     rels = [(a.relations[name], arity) for name, arity in a.signature]
     for k in range(1, n):
         for dom in combinations(range(n), k):
+            restrictions = {tuple(auto[d] for d in dom) for auto in autos}
             for img in permutations(range(n), k):
-                mapping = dict(zip(dom, img))
-                if not _partial_iso_ok(rels, dom, mapping):
+                if img in restrictions:
                     continue
-                extendable = any(
-                    all(auto[d] == mapping[d] for d in dom) for auto in autos)
-                if not extendable:
+                mapping = dict(zip(dom, img))
+                if _partial_iso_ok(rels, dom, mapping):
                     return False, PartialIso(a, mapping.items())
     return True, None
 

@@ -13,7 +13,12 @@ from datetime import datetime
 import pytest
 
 from clonelab.cli import main
-from clonelab.structures import cycle_graph, path_graph, structure_to_json
+from clonelab.structures import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    structure_to_json,
+)
 
 S3_TABLES = [[0, 1, 2], [1, 0, 2], [2, 1, 0], [0, 2, 1], [1, 2, 0], [2, 0, 1]]
 ROTATIONS = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -307,6 +312,15 @@ def test_homogeneity_witness_on_the_path(tmp_path, capsys):
     assert results["witness"] == {"pairs": [[0, 1]]}
 
 
+def test_homogeneity_of_k7_at_the_default_size_limit(tmp_path, capsys):
+    payload = {"structure": structure_to_json(complete_graph(7))}
+    code, report = run_json(tmp_path, capsys, "homogeneity", payload)
+    assert code == 0
+    assert report["parameters"]["size_limit"] == 7
+    assert report["results"] == {"homogeneous": True, "witness": None,
+                                 "size": 7}
+
+
 def test_complement_end_emb_on_the_path(tmp_path, capsys):
     payload = {"structure": structure_to_json(path_graph(3))}
     code, report = run_json(tmp_path, capsys, "complement-end-emb", payload)
@@ -367,6 +381,34 @@ def test_transitivity_of_the_rotation_monoid(tmp_path, capsys):
     assert results["weakly_directed"] is True
     assert results["witnesses"] == [
         {"a": 1, "b": 2, "f": [1, 2, 0], "g": [2, 0, 1], "c": 0}]
+
+
+def test_transitivity_pair_without_common_ancestor_is_a_result(tmp_path,
+                                                               capsys):
+    payload = {
+        "monoid": {"carrier": {"kind": "finite", "size": 2},
+                   "ops": [[0, 1]]},
+        "pairs": [[0, 0], [0, 1]],
+    }
+    code, report = run_json(tmp_path, capsys, "transitivity", payload)
+    assert code == 0
+    assert report["failures"] == []
+    results = report["results"]
+    assert results["weakly_directed"] is False
+    assert results["witnesses"] == [
+        {"a": 0, "b": 0, "f": [0, 1], "g": [0, 1], "c": 0},
+        {"a": 0, "b": 1, "f": None, "g": None, "c": None}]
+
+
+def test_transitivity_pair_outside_the_carrier_exits_2(tmp_path, capsys):
+    payload = {
+        "monoid": {"carrier": {"kind": "finite", "size": 2},
+                   "ops": [[0, 1]]},
+        "pairs": [[0, 5]],
+    }
+    code, report = run_json(tmp_path, capsys, "transitivity", payload)
+    assert code == 2
+    assert "outside carrier" in report["failures"][0]
 
 
 def test_transitivity_witness_on_the_random_graph(tmp_path, capsys):

@@ -9,7 +9,7 @@ and asserted as fixed numbers.
 
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -309,6 +309,61 @@ def test_unequal_parts_break_homogeneity():
     ok, witness = is_homogeneous(complete_multipartite([2, 3]))
     assert not ok
     assert witness.pairs == ((0, 2),)
+
+
+def test_default_bound_extremes_are_homogeneous():
+    # seven vertices is the default size limit; both graphs have 5040
+    # automorphisms and every partial isomorphism extends
+    assert is_homogeneous(complete_graph(7)) == (True, None)
+    assert is_homogeneous(edgeless_graph(7)) == (True, None)
+
+
+def scan_homogeneity(a):
+    """Test every partial isomorphism against every automorphism, in the
+    order the decision procedure promises (domain size, domain, image);
+    the slow reference the restriction lookup is compared against."""
+    n = a.carrier.size
+    autos = brute_maps(a, injective=True, reflect=True)
+    for k in range(1, n):
+        for dom in combinations(range(n), k):
+            for img in permutations(range(n), k):
+                mapping = dict(zip(dom, img))
+                if any((t in a.relations[name])
+                       != (tuple(mapping[x] for x in t) in a.relations[name])
+                       for name, arity in a.signature
+                       for t in product(dom, repeat=arity)):
+                    continue
+                if not any(all(auto[d] == mapping[d] for d in dom)
+                           for auto in autos):
+                    return False, tuple(sorted(mapping.items()))
+    return True, None
+
+
+def assert_matches_scan(a):
+    ok, witness = is_homogeneous(a)
+    assert (ok, witness.pairs if witness else None) == scan_homogeneity(a)
+
+
+if HAVE_HYPOTHESIS:
+    def draw_subset(data, pool):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pool),
+                                  max_size=len(pool)))
+        return [x for x, k in zip(pool, keep) if k]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_homogeneity_matches_scan_on_graphs(data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        edges = draw_subset(data, list(combinations(range(n), 2)))
+        assert_matches_scan(graph_structure(n, edges))
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_homogeneity_matches_scan_on_digraphs_with_loops(data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        pairs = draw_subset(data, list(product(range(n), repeat=2)))
+        assert_matches_scan(
+            RelStructure(finite_carrier(n), [("R", 2)], {"R": pairs}))
 
 
 def test_partial_iso_validity():
