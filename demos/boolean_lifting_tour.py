@@ -14,10 +14,10 @@ from clonelab import (
     Bijection,
     CloneHom,
     close_fragment,
+    conjugate_op,
     enumerate_clone_homs,
     finite_carrier,
     is_weakly_directed,
-    lift_conjugation,
     make_op,
     predict_from_unary_part,
     verify_conjugation_lifting,
@@ -78,7 +78,7 @@ sd_unary = self_dual.unary_monoid()
 mismatches = 0
 for targets in product(range(2), repeat=3):
     predicted = predict_from_unary_part(swap, sd_unary, majority, targets)
-    direct = lift_conjugation(swap, majority)(*targets)
+    direct = conjugate_op(swap, majority)(*targets)
     if predicted != direct:
         mismatches += 1
 print("two-path agreement on majority: checked all "

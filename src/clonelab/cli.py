@@ -44,6 +44,7 @@ from .backforth import (
 from .clone import (
     CloneHom,
     close_fragment,
+    conjugate_fragment,
     enumerate_clone_homs,
     fragment_from_json,
     verify_conjugation_lifting,
@@ -58,7 +59,6 @@ from .extend import (
 )
 from .fnspace import (
     Bijection,
-    FinOp,
     carrier_from_json,
     element_from_json,
     element_to_json,
@@ -159,7 +159,6 @@ def cmd_verify_lifting(ns) -> Tuple[dict, dict, list]:
     if "mapping" in data:
         by_table = {(n, op.table): op for n, op in source.all_ops()}
         if target is None:
-            from .clone import conjugate_fragment
             target = conjugate_fragment(source, theta)
         tgt_by_table = {(n, op.table): op for n, op in target.all_ops()}
         mapping = {}

@@ -14,8 +14,8 @@ every arity.  The proof is constructive and short, and
 target tuple y, pull y back through theta, pick a common ancestor c with
 unary witnesses g_i, form the unary map f = h(g_1, ..., g_n), and read off
 theta(f(c)).  Comparing that prediction with direct conjugation by theta
-(:func:`lift_conjugation`) gives a two-path consistency check with no
-shared code between the paths.
+(:func:`~clonelab.fnspace.conjugate_op`) gives a two-path consistency
+check with no shared code between the paths.
 
 :func:`enumerate_clone_homs` is the brute-force oracle used to confirm
 that no homomorphism escapes the conjugation description: it enumerates
@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import BudgetExceeded, NotBijective
+from .errors import BudgetExceeded
 from .fnspace import (
     Carrier,
     FinOp,
     as_bijection,
     carrier_from_json,
     carrier_to_json,
+    close_tables,
     compose,
     compose_tables,
     conjugate_op,
@@ -143,43 +144,25 @@ class CloneFragment:
 
 def close_fragment(gens: Iterable[FinOp], max_arity: int = 3,
                    op_cap: int = 512) -> CloneFragment:
-    """The smallest fragment containing the generators: projections are
-    seeded, then compositions are added until nothing new appears within
-    the arity bound.
+    """The smallest fragment containing the generators.
 
-    Semi-naive rounds on raw value tables: each round composes only the
-    identities that involve an operation new in the previous round, and
-    the tables are wrapped as operations once, at the end.  Each arity
-    level is capped at ``op_cap`` operations; crossing the cap raises
-    :class:`BudgetExceeded`.  Nullary generators are supported and also
-    spawn their constant liftings at every arity within the bound.
+    Its m-ary part is the closure of the m projections under the
+    generators alone (the subpower closure of Freese, Kiss and Valeriote,
+    as in UACalc): an m-ary term is a projection or a generator applied
+    to m-ary terms, so no other member is needed as an outer function.
+    Each arity in 0..max_arity is closed in turn by
+    :func:`~clonelab.fnspace.close_tables`, seeded with the m
+    projections, the generators of arity m and the constant liftings of
+    the nullary generators; projections and generators keep their
+    labels.  Each arity level is capped at ``op_cap`` operations;
+    crossing the cap raises :class:`BudgetExceeded` naming the lowest
+    arity that overflows.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     carrier = gens[0].carrier
     carrier.require_finite()
-    size = carrier.size
-    # per arity, table -> label (projections and generators keep theirs)
-    levels: Dict[int, Dict[tuple, Optional[str]]] = {
-        n: {} for n in range(0, max_arity + 1)}
-    fresh: List[Tuple[int, tuple]] = []
-
-    def add(arity: int, table: tuple, label: Optional[str] = None):
-        level = levels[arity]
-        if table not in level:
-            level[table] = label
-            fresh.append((arity, table))
-            if len(level) > op_cap:
-                raise BudgetExceeded(
-                    f"fragment closure exceeded {op_cap} operations at arity "
-                    f"{arity}"
-                )
-
-    for n in range(1, max_arity + 1):
-        for i in range(1, n + 1):
-            e = projection(carrier, n, i)
-            add(n, e.table, e.label)
     for g in gens:
         if g.carrier != carrier:
             raise ValueError("generators must share one carrier")
@@ -187,33 +170,29 @@ def close_fragment(gens: Iterable[FinOp], max_arity: int = 3,
             raise ValueError(
                 f"generator arity {g.arity} exceeds the bound {max_arity}"
             )
-        add(g.arity, g.table, g.label)
-
-    while fresh:
-        new = {n: set() for n in levels}
-        for n, table in fresh:
-            new[n].add(table)
-        fresh = []
-        snapshot = {n: list(level) for n, level in levels.items()}
-        for n, outers in snapshot.items():
-            if n == 0:
-                # a nullary op composes into its constant at every arity
-                for f in outers:
-                    if f in new[0]:
-                        for m in range(0, max_arity + 1):
-                            add(m, compose_tables(f, (), size, m))
-                continue
-            for m in range(0, max_arity + 1):
-                new_m = new[m]
-                for f in outers:
-                    f_new = f in new[n]
-                    for gs in product(snapshot[m], repeat=n):
-                        if f_new or not new_m.isdisjoint(gs):
-                            add(m, compose_tables(f, gs, size, m))
-
-    grouped = {n: tuple(FinOp(carrier, n, table=table, label=label)
-                        for table, label in level.items())
-               for n, level in levels.items() if level}
+    size = carrier.size
+    gen_tables = [(g.arity, g.table) for g in gens]
+    grouped = {}
+    for m in range(0, max_arity + 1):
+        # the seeds, table -> label; the first label of a table wins
+        labels: Dict[tuple, Optional[str]] = {}
+        for e in (projection(carrier, m, i) for i in range(1, m + 1)):
+            labels[e.table] = e.label
+        for g in gens:
+            if g.arity == m:
+                labels.setdefault(g.table, g.label)
+        for g in gens:
+            if g.arity == 0:
+                labels.setdefault(g.table * size ** m, None)
+        try:
+            tables = close_tables(labels, gen_tables, size, m, op_cap)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                f"fragment closure exceeded {op_cap} operations at arity {m}"
+            ) from None
+        if tables:
+            grouped[m] = tuple(FinOp(carrier, m, table=t, label=labels.get(t))
+                               for t in tables)
     return CloneFragment(carrier, max_arity, grouped,
                          contains_projections=True, closed_within_bound=True)
 
@@ -246,24 +225,13 @@ def is_closed_within_bound(frag: CloneFragment) -> bool:
 # conjugation
 # ---------------------------------------------------------------------------
 
-def lift_conjugation(theta, h: FinOp) -> FinOp:
-    """Conjugate an operation of any arity by a bijection:
-    (y_1, ..., y_n) maps to theta(h(theta^-1(y_1), ..., theta^-1(y_n))).
-
-    Raises :class:`NotBijective` when theta cannot be inverted.  Works on
-    lazy carriers as a lazy rule.
-    """
-    theta = as_bijection(theta, h.carrier)
-    return conjugate_op(theta, h)
-
-
 def conjugate_fragment(frag: CloneFragment, theta) -> CloneFragment:
-    """Apply :func:`lift_conjugation` to every member.  Projections are
-    fixed by conjugation and compositions are preserved, so the flags
-    carry over."""
+    """Apply :func:`~clonelab.fnspace.conjugate_op` to every member.
+    Projections are fixed by conjugation and compositions are preserved,
+    so the flags carry over."""
     theta = as_bijection(theta, frag.carrier)
     grouped = {
-        n: tuple(lift_conjugation(theta, op) for op in frag.ops(n))
+        n: tuple(conjugate_op(theta, op) for op in frag.ops(n))
         for n in frag.arities()
     }
     return CloneFragment(frag.carrier, frag.max_arity, grouped,
@@ -336,7 +304,7 @@ class CloneHom:
     def conjugation(cls, source: CloneFragment, theta,
                     target: Optional[CloneFragment] = None) -> "CloneHom":
         theta = as_bijection(theta, source.carrier)
-        mapping = {op: lift_conjugation(theta, op) for _, op in source.all_ops()}
+        mapping = {op: conjugate_op(theta, op) for _, op in source.all_ops()}
         if target is None:
             target = conjugate_fragment(source, theta)
         return cls(source, target, mapping, mode="conjugation", theta=theta)
@@ -383,7 +351,7 @@ class CloneHom:
         for n, op in self.source.all_ops():
             if unary_only and n != 1:
                 continue
-            if self.mapping[op] != lift_conjugation(theta, op):
+            if self.mapping[op] != conjugate_op(theta, op):
                 return False
         return True
 
@@ -530,7 +498,7 @@ def verify_conjugation_lifting(xi: CloneHom, theta) -> LiftingReport:
     checked = 0
     counterexamples = []
     for n, h in xi.source.all_ops():
-        expected = lift_conjugation(theta, h)
+        expected = conjugate_op(theta, h)
         actual = xi.image(h)
         checked += 1
         if actual != expected:

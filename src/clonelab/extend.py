@@ -29,10 +29,10 @@ from .fnspace import (
     as_bijection,
     compose,
     conjugate_op,
+    default_window,
     make_op,
     window,
 )
-from .structures import default_probe_points
 from .topology import interpolant, restriction_signature, source_ops
 
 
@@ -182,8 +182,7 @@ def derive_modulus(hom: HomMap, args, ops: Optional[Sequence[FinOp]] = None,
         candidate = start
     else:
         for k in range(max_k + 1):
-            win = window(hom.carrier,
-                         default_probe_points(hom.carrier, k))
+            win = default_window(hom.carrier, k)
             if works(win):
                 candidate = win
                 break
@@ -217,8 +216,8 @@ def check_well_defined(hom: HomMap, f: FinOp, args,
     if not isinstance(args, tuple):
         args = (args,)
     base = hom._window_at(args, modulus)
-    probes = [p for p in default_probe_points(hom.carrier, 2 * extra_paths + 2)
-              if p not in base]
+    probes = default_window(hom.carrier, 2 * extra_paths + 2).sorted_points()
+    probes = [p for p in probes if p not in base]
     witnesses = []
     values = []
     extra: List = []

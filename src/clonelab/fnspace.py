@@ -9,9 +9,12 @@ with an enumerator.
 
 A :class:`FinOp` is an operation of fixed finite arity on a carrier.  On a
 finite carrier it is stored extensionally as a value table in row-major
-order (leftmost argument most significant), and :func:`compose_tables`
-composes such tables directly.  On a lazy carrier it is given by a
-deterministic rule and memoised, so evaluation is observationally pure.
+order (leftmost argument most significant).  :func:`compose_tables`
+composes such tables directly, and :func:`close_tables`, the one closure
+loop of the package, closes a set of tables under a list of generators:
+it builds both the arity levels of a clone fragment and transformation
+monoids.  On a lazy carrier an operation is given by a deterministic rule
+and memoised, so evaluation is observationally pure.
 
 A :class:`Window` is a finite subset of a carrier.  Two operations of the
 same arity are "close at window J" when they agree on every argument tuple
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Iterator, Optional
 
-from .errors import NotBijective, UnsupportedLazyCarrier
+from .errors import BudgetExceeded, NotBijective, UnsupportedLazyCarrier
 
 # ---------------------------------------------------------------------------
 # carriers
@@ -288,6 +291,41 @@ def compose_tables(f_table, g_tables, size: int, m: int) -> tuple:
     return tuple(map(f_table.__getitem__, index))
 
 
+def close_tables(seeds, gens, size: int, m: int, cap: int) -> list:
+    """The m-ary tables generated from ``seeds`` by applying ``gens``.
+
+    ``seeds`` are m-ary value tables and ``gens`` are ``(arity, table)``
+    pairs over ``size`` points; nullary generators apply to nothing.  One
+    worklist of the tables found, in discovery order, seeds first: the
+    table taken from it is put in every argument position of every
+    generator, the earlier positions filled from the tables taken
+    before it and the later ones from those taken up to it.  So each
+    tuple of found tables is composed exactly once, when its last-found
+    member leaves the worklist, and the result is closed under every
+    generator.  Raises :class:`BudgetExceeded` as soon as more than
+    ``cap`` tables are found.
+    """
+    found = list(dict.fromkeys(seeds))
+    known = set(found)
+    gens = list(dict.fromkeys(gens))
+    overflow = f"closure exceeded {cap} tables at arity {m}"
+    if len(found) > cap:
+        raise BudgetExceeded(overflow)
+    for k, table in enumerate(found):
+        before, upto = found[:k], found[:k + 1]
+        for n, g in gens:
+            for i in range(n):
+                pools = [before] * i + [(table,)] + [upto] * (n - i - 1)
+                for gs in product(*pools):
+                    h = compose_tables(g, gs, size, m)
+                    if h not in known:
+                        known.add(h)
+                        found.append(h)
+                        if len(found) > cap:
+                            raise BudgetExceeded(overflow)
+    return found
+
+
 def compose(f: FinOp, gs, target_arity: Optional[int] = None) -> FinOp:
     """Composition f(g1(xs), ..., gn(xs)) where f is n-ary and every g is
     m-ary on the same carrier; the result is m-ary.
@@ -360,6 +398,20 @@ class Window:
 
 def window(carrier: Carrier, points) -> Window:
     return Window(carrier, frozenset(points))
+
+
+def default_window(carrier: Carrier, k: int) -> Window:
+    """The canonical radius-k window: integers -k..k on the rationals,
+    0..k on the naturals, 0..min(k, size-1) on finite carriers."""
+    if carrier.is_finite:
+        points = range(min(k + 1, carrier.size))
+    elif carrier == RATIONALS:
+        points = range(-k, k + 1)
+    elif carrier == RADO:
+        points = range(k + 1)
+    else:
+        raise UnsupportedLazyCarrier("no canonical probe set for this carrier")
+    return window(carrier, points)
 
 
 def equal_on_window(f1: FinOp, f2: FinOp, win: Window) -> bool:

@@ -29,6 +29,7 @@ from .fnspace import (
     as_bijection,
     carrier_from_json,
     carrier_to_json,
+    close_tables,
     compose_tables,
     conjugate_op,
     equal_on_window,
@@ -146,9 +147,11 @@ def close_under_composition(gens: Iterable[FinOp], include_identity: bool = True
     """The transformation monoid generated by unary maps on a finite
     carrier.
 
-    Breadth-first search of the right Cayley graph (Froidure and Pin,
-    1997): every map found is multiplied on the right by each generator,
-    on raw value tables, until no new map appears.  The result can never
+    The closure kernel :func:`~clonelab.fnspace.close_tables` at arity 1,
+    seeded with the identity (when ``include_identity``) and the
+    generators: every map found is followed by each generator, on raw
+    value tables, until no new map appears (a Cayley-graph search in the
+    manner of Froidure and Pin, 1997).  The result can never
     exceed size**size maps.  An optional cap raises
     :class:`BudgetExceeded` once crossed, for callers that want to bound
     exploratory runs.
@@ -163,26 +166,21 @@ def close_under_composition(gens: Iterable[FinOp], include_identity: bool = True
             raise ValueError("generators must be unary maps on one carrier")
     size = carrier.size
     identity = identity_op(carrier)
-    # table -> labelled operation for the seeds, None for products
-    known = {identity.table: identity} if include_identity else {}
+    # table -> labelled operation for the seeds
+    seeds = {identity.table: identity} if include_identity else {}
     for g in gens:
-        known.setdefault(g.table, g)
-    gen_tables = list(dict.fromkeys(g.table for g in gens))
-    queue = list(known)
-    for f in queue:
-        for g in gen_tables:
-            fg = compose_tables(f, (g,), size, 1)
-            if fg not in known:
-                known[fg] = None
-                queue.append(fg)
-        if cap is not None and len(known) > cap:
-            raise BudgetExceeded(
-                f"monoid closure exceeded cap {cap} (size bound is "
-                f"{size ** size})"
-            )
-    ops = tuple(op or FinOp(carrier, 1, table=table)
-                for table, op in sorted(known.items()))
-    return MonoidSet(carrier, ops, identity.table in known, True)
+        seeds.setdefault(g.table, g)
+    try:
+        tables = close_tables(seeds, [(1, g.table) for g in gens], size, 1,
+                              size ** size if cap is None else cap)
+    except BudgetExceeded:
+        raise BudgetExceeded(
+            f"monoid closure exceeded cap {cap} (size bound is "
+            f"{size ** size})"
+        ) from None
+    ops = tuple(seeds.get(table) or FinOp(carrier, 1, table=table)
+                for table in sorted(tables))
+    return MonoidSet(carrier, ops, identity.table in tables, True)
 
 
 def invertibles(m: MonoidSet) -> GroupSet:

@@ -34,6 +34,7 @@ from .fnspace import (
     Carrier,
     carrier_from_json,
     carrier_to_json,
+    default_window,
     element_to_json,
     finite_carrier,
     identity_op,
@@ -382,27 +383,12 @@ def is_loopless(a: RelStructure, sample_bound: int = 8) -> bool:
     if a.is_finite:
         points = list(a.carrier.elements())
     else:
-        points = [p for p in default_probe_points(a.carrier, sample_bound)]
+        points = default_window(a.carrier, sample_bound).sorted_points()
     for rel_name, arity in a.signature:
         hits = [a.related(rel_name, *([x] * arity)) for x in points]
         if any(hits) and not all(hits):
             return False
     return True
-
-
-def default_probe_points(carrier: Carrier, k: int):
-    """The canonical finite probe set of radius k: integers -k..k on the
-    rationals, 0..k on the naturals, 0..min(k, size-1) on finite
-    carriers."""
-    from fractions import Fraction
-
-    if carrier.is_finite:
-        return [x for x in range(min(k + 1, carrier.size))]
-    if carrier == RATIONALS:
-        return [Fraction(i) for i in range(-k, k + 1)]
-    if carrier == RADO:
-        return list(range(k + 1))
-    raise UnsupportedLazyCarrier("no canonical probe set for this carrier")
 
 
 # ---------------------------------------------------------------------------

@@ -25,19 +25,12 @@ from .fnspace import (
     Carrier,
     FinOp,
     Window,
-    element_to_json,
+    default_window,
     equal_on_window,
     op_to_json,
     window,
     window_to_json,
 )
-from .structures import default_probe_points
-
-
-def default_window(carrier: Carrier, k: int) -> Window:
-    """The canonical radius-k window: integers -k..k on the rationals,
-    0..k on the naturals, an initial segment on finite carriers."""
-    return window(carrier, default_probe_points(carrier, k))
 
 
 def window_chain(carrier: Carrier, k_max: int, k_min: int = 0) -> List[Window]:

@@ -30,6 +30,7 @@ from clonelab import (
     complement_expansion,
     complete_graph,
     complete_multipartite,
+    conjugate_op,
     constant_op,
     cycle_graph,
     edgeless_graph,
@@ -42,7 +43,6 @@ from clonelab import (
     injective_endos_fixing,
     is_homogeneous,
     is_weakly_directed,
-    lift_conjugation,
     make_op,
     monoid_set,
     noncommuting_witness,
@@ -113,7 +113,7 @@ def test_01_lifting_exhaustive_on_two_elements():
             if any(len(source.ops(n)) < len(target.ops(n)) for n in (1, 2)):
                 continue
             target_unary = {op.table for op in target.ops(1)}
-            if not any(all(lift_conjugation(th, u).table in target_unary
+            if not any(all(conjugate_op(th, u).table in target_unary
                            for u in unary) for th in thetas):
                 continue
             for hom in enumerate_clone_homs(source, target):
@@ -156,7 +156,7 @@ def _two_path_suite(seed: int) -> dict:
         theta = Bijection.from_table(carrier, perm)
         targets = tuple(rng.randrange(size) for _ in range(arity))
         predicted = predict_from_unary_part(theta, unary, h, targets)
-        direct = lift_conjugation(theta, h)(*targets)
+        direct = conjugate_op(theta, h)(*targets)
         checked += 1
         values.append(predicted)
         if predicted != direct:

@@ -18,7 +18,7 @@ from clonelab.errors import (
     InvalidSeed,
     UnsupportedLazyCarrier,
 )
-from clonelab.fnspace import RADO, RATIONALS, equal_on_window, window
+from clonelab.fnspace import RADO, RATIONALS, default_window, equal_on_window, window
 from clonelab.backforth import (
     BackAndForthInterpolator,
     LazyAutomorphism,
@@ -37,7 +37,7 @@ from clonelab.structures import (
     rado_graph,
     rationals_order,
 )
-from clonelab.topology import default_window, interpolant
+from clonelab.topology import interpolant
 
 try:
     from hypothesis import given, settings

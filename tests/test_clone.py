@@ -19,7 +19,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clonelab.errors import BudgetExceeded, NotBijective
@@ -32,12 +32,12 @@ from clonelab.clone import (
     fragment_from_json,
     fragment_to_json,
     is_closed_within_bound,
-    lift_conjugation,
     predict_from_unary_part,
     verify_conjugation_lifting,
 )
 from clonelab.fnspace import (
     Bijection,
+    conjugate_op,
     constant_op,
     equal_on_window,
     finite_carrier,
@@ -123,6 +123,40 @@ def test_op_cap_enforced():
         close_fragment([NOT, AND], max_arity=2, op_cap=10)
 
 
+def test_op_cap_boundary():
+    # NOT and AND give 4 unary and 16 binary operations
+    assert close_fragment([NOT, AND], max_arity=2, op_cap=16).op_count() == 20
+    with pytest.raises(BudgetExceeded, match="exceeded 15 operations at arity 2"):
+        close_fragment([NOT, AND], max_arity=2, op_cap=15)
+
+
+def test_op_cap_names_the_lowest_overflowing_arity():
+    # both levels pass the cap; the arities are closed in increasing order
+    with pytest.raises(BudgetExceeded, match="exceeded 3 operations at arity 1$"):
+        close_fragment([NOT, AND], max_arity=2, op_cap=3)
+
+
+def test_ternary_lattice_closure():
+    """{min, max} on the 3-chain: the lattice terms in x, y are x, y,
+    min and max, and in three variables the 18 elements of the free
+    distributive lattice on three generators, all distinct on the
+    3-chain."""
+    c3 = finite_carrier(3)
+    lo = make_op(c3, 2, table=[min(a, b) for a, b in itertools.product(
+        range(3), repeat=2)], label="min")
+    hi = make_op(c3, 2, table=[max(a, b) for a, b in itertools.product(
+        range(3), repeat=2)], label="max")
+    frag = close_fragment([lo, hi], max_arity=3)
+    assert {n: len(frag.ops(n)) for n in frag.arities()} == {1: 1, 2: 4, 3: 18}
+    assert frag.member(2, lo.table).label == "min"
+    assert frag.member(2, hi.table).label == "max"
+    for n in (1, 2, 3):
+        for i in range(1, n + 1):
+            e = projection(c3, n, i)
+            assert frag.member(n, e.table).label == e.label
+    assert is_closed_within_bound(frag)
+
+
 def everything_with_everything(gens, max_arity):
     """Slow oracle for the closure: per arity, the tables reached by
     composing every member with every member, evaluated pointwise,
@@ -154,6 +188,7 @@ def everything_with_everything(gens, max_arity):
     lambda n: st.tuples(st.just(n), st.lists(
         st.integers(0, 1), min_size=2 ** n, max_size=2 ** n))),
     min_size=1, max_size=2))
+@example(raw=[(2, [0, 0, 1, 0])])  # x and not y: order of arguments matters
 @settings(max_examples=30, deadline=None)
 def test_closure_matches_composing_everything_with_everything(raw):
     gens = [make_op(B2, n, table=t) for n, t in raw]
@@ -168,32 +203,32 @@ def test_closure_matches_composing_everything_with_everything(raw):
 # ---------------------------------------------------------------------------
 
 def test_conjugating_and_by_swap_gives_or():
-    assert lift_conjugation(SWAP, AND) == OR
-    assert lift_conjugation(SWAP, OR) == AND
+    assert conjugate_op(SWAP, AND) == OR
+    assert conjugate_op(SWAP, OR) == AND
 
 
 def test_conjugation_by_identity_is_identity():
     for op in (AND, OR, XOR, NOT, C0):
-        assert lift_conjugation(IDENT, op) == op
+        assert conjugate_op(IDENT, op) == op
 
 
 def test_double_conjugation_returns_the_original():
     for i in range(16):
         table = [(i >> k) & 1 for k in (3, 2, 1, 0)]
         op = make_op(B2, 2, table=table)
-        assert lift_conjugation(SWAP, lift_conjugation(SWAP, op)) == op
+        assert conjugate_op(SWAP, conjugate_op(SWAP, op)) == op
 
 
 def test_conjugation_fixes_projections():
     for n in (1, 2, 3):
         for i in range(1, n + 1):
             e = projection(B2, n, i)
-            assert lift_conjugation(SWAP, e) == e
+            assert conjugate_op(SWAP, e) == e
 
 
 def test_conjugation_needs_a_bijection():
     with pytest.raises(NotBijective):
-        lift_conjugation(C0, AND)
+        conjugate_op(C0, AND)
 
 
 def test_conjugation_carries_windows_to_image_windows():
@@ -205,8 +240,8 @@ def test_conjugation_carries_windows_to_image_windows():
         j_img = window(B2, [SWAP(p) for p in pts])
         for f1, f2 in itertools.combinations(ops, 2):
             lhs = equal_on_window(f1, f2, j)
-            rhs = equal_on_window(lift_conjugation(SWAP, f1),
-                                  lift_conjugation(SWAP, f2), j_img)
+            rhs = equal_on_window(conjugate_op(SWAP, f1),
+                                  conjugate_op(SWAP, f2), j_img)
             assert lhs == rhs
 
 
@@ -226,7 +261,7 @@ def test_conjugate_fragment_is_involutive_under_swap():
 
 def test_predicted_value_matches_conjugation_on_swap_monoid():
     unary = monoid_set(B2, [ID2, NOT])
-    lifted = lift_conjugation(SWAP, AND)  # = OR
+    lifted = conjugate_op(SWAP, AND)  # = OR
     for targets in itertools.product((0, 1), repeat=2):
         predicted = predict_from_unary_part(SWAP, unary, AND, targets)
         assert predicted == lifted(*targets)
@@ -269,7 +304,7 @@ def test_two_routes_agree_on_random_instances():
                     table=[rng.randrange(size) for _ in range(size ** arity)])
         targets = tuple(rng.randrange(size) for _ in range(arity))
         predicted = predict_from_unary_part(theta, unary, h, targets)
-        assert predicted == lift_conjugation(theta, h)(*targets)
+        assert predicted == conjugate_op(theta, h)(*targets)
 
 
 # ---------------------------------------------------------------------------

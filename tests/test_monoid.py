@@ -92,6 +92,14 @@ def test_closure_cap_raises():
         close_under_composition([swap01, cycle], cap=3)
 
 
+def test_closure_cap_boundary():
+    swap01 = make_op(B3, 1, table=[1, 0, 2])
+    cycle = make_op(B3, 1, table=[1, 2, 0])
+    assert len(close_under_composition([swap01, cycle], cap=6)) == 6
+    with pytest.raises(BudgetExceeded, match="exceeded cap 5"):
+        close_under_composition([swap01, cycle], cap=5)
+
+
 def test_closure_flag_claim_is_verified():
     with pytest.raises(ValueError):
         monoid_set(B2, [NOT], closed=True)  # NOT o NOT = identity is missing

@@ -25,7 +25,6 @@ from clonelab.structures import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    default_probe_points,
     edgeless_graph,
     emb_monoid,
     emb_set,
@@ -398,13 +397,6 @@ def test_is_loopless_finite():
 def test_is_loopless_lazy():
     assert is_loopless(rationals_order())
     assert is_loopless(rado_graph())
-
-
-def test_default_probe_points():
-    assert default_probe_points(RATIONALS, 2) == \
-        [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
-    assert default_probe_points(RADO, 3) == [0, 1, 2, 3]
-    assert default_probe_points(finite_carrier(3), 8) == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ import pytest
 
 from clonelab.errors import InterpolationFailure
 from clonelab.fnspace import (
+    RADO,
     RATIONALS,
     Bijection,
     conjugate_op,
+    default_window,
     finite_carrier,
     make_op,
     window,
@@ -21,7 +23,6 @@ from clonelab.topology import (
     DensityReport,
     Entourage,
     closure_at_window,
-    default_window,
     density_profile,
     interpolant,
     is_dense_at_window,
@@ -58,6 +59,13 @@ def test_default_window_rationals():
 
 def test_default_window_finite_truncates():
     assert default_window(B, 8).sorted_points() == [0, 1]
+
+
+def test_default_window_probe_sets():
+    assert default_window(RATIONALS, 2).sorted_points() == \
+        [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
+    assert default_window(RADO, 3).sorted_points() == [0, 1, 2, 3]
+    assert default_window(finite_carrier(3), 8).sorted_points() == [0, 1, 2]
 
 
 def test_window_chain_is_increasing():
