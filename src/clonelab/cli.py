@@ -14,13 +14,20 @@ one JSON report with a fixed envelope::
     }
 
 The process exits 0 when ``failures`` is empty, 1 when a checked
-identity failed, and 2 on malformed input or an exhausted search budget.
-Reports are deterministic byte for byte apart from the timestamp.
+identity failed, and 2 on malformed input, an exhausted search budget,
+or an ``--out`` path that cannot be written (the error envelope then
+goes to standard output).  Reports are deterministic byte for byte apart
+from the timestamp.
 Negative mathematical verdicts of query-style commands (a structure that
 simply is not homogeneous, a set that is not dense, a pair of targets
 with no common ancestor, reported with null ``c``, ``f`` and ``g``) are
 results, not failures; failures are reserved for identities that the
 underlying theory says must hold.
+
+:func:`main` returns the exit code (argument errors and ``--help`` raise
+``SystemExit``, as argparse does) and may be called any number of times
+in one process: the argument parser is built on the first call and
+reused, and each call dispatches through ``HANDLERS``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import random
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional, Tuple
 
 from .backforth import (
@@ -484,33 +492,37 @@ HELP = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", help="JSON input file, or - for stdin")
+    common.add_argument("--out",
+                        help="write the report here instead of stdout")
+    common.add_argument("--format", choices=["json", "csv", "text"],
+                        default="json")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for sampled probe points")
+    common.add_argument("--window-k", type=int, default=3,
+                        help="radius of the largest canonical window")
+    common.add_argument("--max-arity", type=int, default=3,
+                        help="arity bound when closing generator sets")
+    common.add_argument("--op-cap", type=int, default=512,
+                        help="operation cap per arity when closing")
+    common.add_argument("--trials", type=int, default=3,
+                        help="extra sampled points or interpolation paths")
+    common.add_argument("--probe-budget", type=int, default=64,
+                        help="points examined before giving up a search")
+    common.add_argument("--size-limit", type=int, default=7,
+                        help="largest structure the exhaustive searches "
+                             "accept")
     parser = argparse.ArgumentParser(
         prog="clonelab",
         description="computational workbench for clone fragments, "
                     "operation monoids, and homogeneous structures")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in HANDLERS.items():
-        p = sub.add_parser(name, help=HELP[name])
-        p.add_argument("--input", help="JSON input file, or - for stdin")
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="json")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled probe points")
-        p.add_argument("--window-k", type=int, default=3,
-                       help="radius of the largest canonical window")
-        p.add_argument("--max-arity", type=int, default=3,
-                       help="arity bound when closing generator sets")
-        p.add_argument("--op-cap", type=int, default=512,
-                       help="operation cap per arity when closing")
-        p.add_argument("--trials", type=int, default=3,
-                       help="extra sampled points or interpolation paths")
-        p.add_argument("--probe-budget", type=int, default=64,
-                       help="points examined before giving up a search")
-        p.add_argument("--size-limit", type=int, default=7,
-                       help="largest structure the exhaustive searches accept")
-        p.set_defaults(handler=handler)
+    for name in HANDLERS:
+        sub.add_parser(name, help=HELP[name], parents=[common])
     return parser
 
 
@@ -560,34 +572,40 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, ns) -> None:
-    if ns.format == "text":
+def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
+    if fmt == "text":
         payload = _render_text(report)
-    elif ns.format == "csv":
+    elif fmt == "csv":
         payload = _render_csv(report)
     else:
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
 
 
+def _error_envelope(command: str, exc: Exception) -> dict:
+    return _envelope(command, {}, {}, [f"{type(exc).__name__}: {exc}"])
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        parameters, results, failures = ns.handler(ns)
+        parameters, results, failures = HANDLERS[ns.command](ns)
     except (WorkbenchError, ValueError, KeyError, TypeError,
             OSError, json.JSONDecodeError) as exc:
-        report = _envelope(ns.command, {}, {},
-                           [f"{type(exc).__name__}: {exc}"])
-        _emit(report, ns)
+        report, code = _error_envelope(ns.command, exc), 2
+    else:
+        report = _envelope(ns.command, parameters, results, failures)
+        code = 0 if not failures else 1
+    try:
+        _emit(report, ns.format, ns.out)
+    except OSError as exc:
+        _emit(_error_envelope(ns.command, exc), ns.format, None)
         return 2
-    report = _envelope(ns.command, parameters, results, failures)
-    _emit(report, ns)
-    return 0 if not failures else 1
+    return code
 
 
 if __name__ == "__main__":

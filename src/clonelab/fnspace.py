@@ -311,8 +311,10 @@ def close_tables(seeds, gens, size: int, m: int, cap: int) -> list:
     overflow = f"closure exceeded {cap} tables at arity {m}"
     if len(found) > cap:
         raise BudgetExceeded(overflow)
+    wide = any(n > 1 for n, _ in gens)
     for k, table in enumerate(found):
-        before, upto = found[:k], found[:k + 1]
+        # only generators of arity 2 or more read the other positions
+        before, upto = (found[:k], found[:k + 1]) if wide else ((), ())
         for n, g in gens:
             for i in range(n):
                 pools = [before] * i + [(table,)] + [upto] * (n - i - 1)

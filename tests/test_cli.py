@@ -5,6 +5,7 @@ a temporary file and inspects the report envelope, the exit code, or
 both.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -12,6 +13,7 @@ from datetime import datetime
 
 import pytest
 
+from clonelab import cli
 from clonelab.cli import main
 from clonelab.structures import (
     complete_graph,
@@ -100,6 +102,29 @@ def test_csv_format(tmp_path, capsys):
     assert ["meta", "command", "density"] in rows
     sections = {row[0] for row in rows[1:]}
     assert {"meta", "parameters", "results"} <= sections
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(DENSITY_FINITE))
+    dst = tmp_path / "missing_dir" / "r.json"
+    code, out = run(capsys, "density", "--input", str(src),
+                    "--out", str(dst), "--window-k", "1")
+    assert code == 2
+    report = json.loads(out)
+    assert report["failures"][0].startswith("FileNotFoundError: ")
+    assert report["results"] == {}
+    assert not dst.exists()
+
+
+def test_unwritable_out_path_for_an_error_envelope_exits_2(tmp_path, capsys):
+    dst = tmp_path / "missing_dir" / "r.json"
+    code, out = run(capsys, "homogeneity", "--out", str(dst),
+                    "--format", "csv")
+    assert code == 2
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[-1][:2] == ["failures", "0"]
+    assert rows[-1][2].startswith("FileNotFoundError: ")
 
 
 def test_missing_input_exits_2(capsys):
@@ -420,3 +445,128 @@ def test_transitivity_witness_on_the_random_graph(tmp_path, capsys):
     assert results["f_at_base"] == 3
     assert results["g_at_base"] == 7
     assert results["f"]["pairs"][0] == [0, 3]
+
+
+# ---------------------------------------------------------------------------
+# the parser: built once per process, dispatching through HANDLERS
+# ---------------------------------------------------------------------------
+
+OPTION_DEFAULTS = {
+    "input": None, "out": None, "format": "json", "seed": 0, "window_k": 3,
+    "max_arity": 3, "op_cap": 512, "trials": 3, "probe_budget": 64,
+    "size_limit": 7,
+}
+
+# one small well-formed input and its flags per subcommand
+EVERY_SUBCOMMAND = {
+    "verify-lifting": ({"source": {"carrier": {"kind": "finite", "size": 3},
+                                   "generators": [{"arity": 1,
+                                                   "table": [1, 2, 0]}]},
+                        "theta": [1, 2, 0]}, ["--max-arity", "2"]),
+    "enumerate-homs": ({"source": {"carrier": {"kind": "finite", "size": 2},
+                                   "generators": [{"arity": 1,
+                                                   "table": [1, 0]}]}},
+                       ["--max-arity", "1"]),
+    "check-extension": ({"carrier": {"kind": "finite", "size": 3},
+                         "source": ROTATIONS, "theta": [1, 2, 0],
+                         "target": [1, 2, 0], "points": [0, 1, 2]}, []),
+    "density": (DENSITY_FINITE, ["--window-k", "1"]),
+    "homogeneity": ({"structure": structure_to_json(cycle_graph(5))}, []),
+    "complement-end-emb": ({"structure": structure_to_json(path_graph(3))},
+                           []),
+    "injective-endos": ({"monoid": {"carrier": {"kind": "finite", "size": 2},
+                                    "ops": [[0, 1], [1, 0]]},
+                         "fixed": [0]}, []),
+    "centre-witness": ({"monoid": {"carrier": {"kind": "finite", "size": 3},
+                                   "ops": S3_TABLES}}, []),
+    "transitivity": ({"monoid": {"carrier": {"kind": "finite", "size": 3},
+                                 "ops": ROTATIONS}, "pairs": [[1, 2]]}, []),
+}
+
+
+def test_every_subcommand_is_covered():
+    assert set(EVERY_SUBCOMMAND) == set(cli.HANDLERS)
+
+
+def _base_argv(tmp_path, name):
+    payload, flags = EVERY_SUBCOMMAND[name]
+    src = tmp_path / f"{name}.json"
+    src.write_text(json.dumps(payload))
+    return [name, "--input", str(src)] + flags
+
+
+def _without_timestamp(out):
+    return [line for line in out.splitlines() if "generated_at" not in line]
+
+
+def test_repeated_calls_in_one_process_give_identical_reports(tmp_path,
+                                                               capsys):
+    variants = ([], ["--format", "csv"], ["--seed", "7", "--size-limit", "5"])
+    rounds = []
+    for _ in range(2):
+        outputs = {}
+        for name in EVERY_SUBCOMMAND:
+            argv = _base_argv(tmp_path, name)
+            for extra in variants:
+                code, out = run(capsys, *argv, *extra)
+                outputs[name, tuple(extra)] = (code, _without_timestamp(out))
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", "xml"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+        rounds.append(outputs)
+    assert rounds[0] == rounds[1]
+    assert all(code == 0 for code, _ in rounds[0].values())
+    for name in EVERY_SUBCOMMAND:
+        ns = cli._build_parser().parse_args([name])
+        assert vars(ns) == {"command": name, **OPTION_DEFAULTS}
+
+
+def test_help_of_every_subcommand_lists_the_options(capsys):
+    for name in cli.HANDLERS:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ") and f"clonelab {name}" in out
+        for dest in OPTION_DEFAULTS:
+            assert "--" + dest.replace("_", "-") in out
+        assert "{json,csv,text}" in out
+        ns = cli._build_parser().parse_args([name])
+        assert vars(ns) == {"command": name, **OPTION_DEFAULTS}
+
+
+def test_twenty_calls_build_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    argv = _base_argv(tmp_path, "density")
+    assert run(capsys, *argv)[0] == 0
+    first = len(built)
+    assert built.count("clonelab") == 1
+    for _ in range(19):
+        assert run(capsys, *argv)[0] == 0
+    assert len(built) == first
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_handler_swapped_in_after_the_first_call_runs(tmp_path, capsys,
+                                                      monkeypatch):
+    argv = _base_argv(tmp_path, "density")
+    assert run(capsys, *argv)[0] == 0
+
+    def swapped(ns):
+        return {"swapped": True}, {"input": ns.input}, ["planted failure"]
+
+    monkeypatch.setitem(cli.HANDLERS, "density", swapped)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["parameters"] == {"swapped": True}
+    assert report["failures"] == ["planted failure"]
