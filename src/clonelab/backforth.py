@@ -14,7 +14,10 @@ pattern.  Answers are memoised, so a single map object is consistent
 across queries, but the values depend on the order in which fresh
 queries arrive.  Two map objects built from the same seed agree only if
 queried in the same order; snapshots record exactly what has been
-determined.
+determined.  One state class holds every such map: the inverse view of
+an automorphism shares its two memo dicts with swapped roles, and an
+embedding is the same state with its avoided vertices reserved as
+images of nothing.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ class _PiecewiseLinear:
     """Order automorphism of the rationals through fixed anchors."""
 
     __slots__ = ("xs", "ys")
+    order_sensitive = False
 
     def __init__(self, xs, ys):
         self.xs = tuple(xs)
@@ -75,18 +79,11 @@ class _PiecewiseLinear:
     def forward(self, x):
         return _pl_eval(self.xs, self.ys, x)
 
-    def backward(self, y):
-        return _pl_eval(self.ys, self.xs, y)
-
     def swapped(self) -> "_PiecewiseLinear":
         return _PiecewiseLinear(self.ys, self.xs)
 
     def known_pairs(self):
         return list(zip(self.xs, self.ys))
-
-    @property
-    def order_sensitive(self) -> bool:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +149,20 @@ def _bit_positions(n: int):
 
 
 class _RadoBackForth:
-    """Memoised two-sided extension on the bit-adjacency graph."""
+    """Memoised online extension on the bit-adjacency graph.
+
+    ``fwd`` holds the pairs matched so far and ``bwd`` the same pairs
+    reversed; a key of ``bwd`` mapped to None is an image no fresh query
+    may take.  The swapped state shares both dicts, so a map and its
+    inverse can never drift apart.
+    """
 
     __slots__ = ("fwd", "bwd", "scan_cap")
+    order_sensitive = True
 
-    def __init__(self, fwd: dict, scan_cap: int):
-        self.fwd = dict(fwd)
-        self.bwd = {b: a for a, b in self.fwd.items()}
+    def __init__(self, fwd: dict, bwd: dict, scan_cap: int):
+        self.fwd = fwd
+        self.bwd = bwd
         self.scan_cap = scan_cap
 
     def forward(self, x: int) -> int:
@@ -169,56 +173,18 @@ class _RadoBackForth:
         self.bwd[w] = x
         return w
 
-    def backward(self, y: int) -> int:
-        if y in self.bwd:
-            return self.bwd[y]
-        z = _fresh_partner(y, self.bwd, self.fwd, self.scan_cap)
-        self.bwd[y] = z
-        self.fwd[z] = y
-        return z
-
-    def swapped(self) -> "_Swapped":
-        return _Swapped(self)
+    def swapped(self) -> "_RadoBackForth":
+        return _RadoBackForth(self.bwd, self.fwd, self.scan_cap)
 
     def known_pairs(self):
         return sorted(self.fwd.items())
-
-    @property
-    def order_sensitive(self) -> bool:
-        return True
-
-
-class _Swapped:
-    """Inverse view sharing state with its base, so a map and its
-    inverse can never drift apart."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base):
-        self.base = base
-
-    def forward(self, x):
-        return self.base.backward(x)
-
-    def backward(self, y):
-        return self.base.forward(y)
-
-    def swapped(self):
-        return self.base
-
-    def known_pairs(self):
-        return sorted((b, a) for a, b in self.base.known_pairs())
-
-    @property
-    def order_sensitive(self) -> bool:
-        return self.base.order_sensitive
 
 
 # ---------------------------------------------------------------------------
 # seed validation
 # ---------------------------------------------------------------------------
 
-def _seed_dict(structure: RelStructure, pairs) -> dict:
+def _validated_seed(structure: RelStructure, pairs) -> dict:
     carrier = structure.carrier
     seed = {}
     images = {}
@@ -230,11 +196,6 @@ def _seed_dict(structure: RelStructure, pairs) -> dict:
             raise InvalidSeed(f"{b} is hit by both {images[b]} and {a}")
         seed[a] = b
         images[b] = a
-    return seed
-
-
-def _validated_seed(structure: RelStructure, pairs) -> dict:
-    seed = _seed_dict(structure, pairs)
     items = list(seed.items())
     for i, (a, b) in enumerate(items):
         for c, d in items[i + 1:]:
@@ -250,17 +211,6 @@ def _validated_seed(structure: RelStructure, pairs) -> dict:
     return seed
 
 
-def _impl_for(structure: RelStructure, seed: dict, scan_cap: int):
-    if structure.carrier == RATIONALS:
-        anchors = sorted(seed.items())
-        return _PiecewiseLinear([a for a, _ in anchors], [b for _, b in anchors])
-    if structure.carrier == RADO:
-        return _RadoBackForth(seed, scan_cap)
-    raise UnsupportedLazyCarrier(
-        "back-and-forth strategies are available for the catalog "
-        "structures only")
-
-
 # ---------------------------------------------------------------------------
 # the public map classes
 # ---------------------------------------------------------------------------
@@ -269,20 +219,21 @@ class LazyAutomorphism:
     """An automorphism of a catalog structure, defined lazily and
     extending a finite seed of matched pairs."""
 
-    __slots__ = ("structure", "_impl")
+    __slots__ = ("structure", "_impl", "_inv")
 
     def __init__(self, structure: RelStructure, impl):
         self.structure = structure
         self._impl = impl
+        self._inv = impl.swapped()
 
     def __call__(self, x):
         return self._impl.forward(self.structure.carrier.canonical(x))
 
     def inverse(self, y):
-        return self._impl.backward(self.structure.carrier.canonical(y))
+        return self._inv.forward(self.structure.carrier.canonical(y))
 
     def inverted(self) -> "LazyAutomorphism":
-        return LazyAutomorphism(self.structure, self._impl.swapped())
+        return LazyAutomorphism(self.structure, self._inv)
 
     def as_op(self) -> FinOp:
         return make_op(self.structure.carrier, 1, rule=self.__call__)
@@ -307,9 +258,10 @@ class LazyAutomorphism:
         }
 
     def __repr__(self):
-        pairs = ", ".join(f"{a}->{b}" for a, b in self.snapshot()[:4])
-        more = "..." if len(self.snapshot()) > 4 else ""
-        return f"LazyAutomorphism({self.structure.name}: {pairs}{more})"
+        pairs = self.snapshot()
+        shown = ", ".join(f"{a}->{b}" for a, b in pairs[:4])
+        more = "..." if len(pairs) > 4 else ""
+        return f"LazyAutomorphism({self.structure.name}: {shown}{more})"
 
 
 class LazyEmbedding:
@@ -317,29 +269,21 @@ class LazyEmbedding:
     forward only; its image can be made to avoid a finite vertex set,
     which yields self-embeddings that are not automorphisms."""
 
-    __slots__ = ("structure", "_fwd", "_taken", "_avoid", "_scan_cap")
+    __slots__ = ("structure", "_impl", "_avoid")
 
     def __init__(self, structure: RelStructure, seed: dict, avoid, scan_cap: int):
         self.structure = structure
-        self._fwd = dict(seed)
         self._avoid = frozenset(avoid)
-        self._taken = {b: a for a, b in seed.items()}
-        for b in self._avoid:
-            self._taken.setdefault(b, None)
-        self._scan_cap = scan_cap
+        taken = dict.fromkeys(self._avoid)
+        taken.update((b, a) for a, b in seed.items())
+        self._impl = _RadoBackForth(dict(seed), taken, scan_cap)
 
     def __call__(self, x):
-        x = self.structure.carrier.canonical(x)
-        if x in self._fwd:
-            return self._fwd[x]
-        w = _fresh_partner(x, self._fwd, self._taken, self._scan_cap)
-        self._fwd[x] = w
-        self._taken[w] = x
-        return w
+        return self._impl.forward(self.structure.carrier.canonical(x))
 
     def inverse(self, y):
         y = self.structure.carrier.canonical(y)
-        x = self._taken.get(y)
+        x = self._impl.bwd.get(y)
         if x is None:
             raise ValueError(f"{y} is not in the computed image")
         return x
@@ -348,7 +292,7 @@ class LazyEmbedding:
         return make_op(self.structure.carrier, 1, rule=self.__call__)
 
     def snapshot(self) -> List[tuple]:
-        return sorted(self._fwd.items())
+        return self._impl.known_pairs()
 
     @property
     def avoided(self) -> frozenset:
@@ -377,7 +321,12 @@ def automorphism_from(structure: RelStructure, pairs=(),
             "back-and-forth strategies are available for the catalog "
             "structures only")
     seed = _validated_seed(structure, pairs)
-    return LazyAutomorphism(structure, _impl_for(structure, seed, scan_cap))
+    if structure.carrier == RATIONALS:
+        anchors = sorted(seed.items())
+        impl = _PiecewiseLinear([a for a, _ in anchors], [b for _, b in anchors])
+    else:
+        impl = _RadoBackForth(seed, {b: a for a, b in seed.items()}, scan_cap)
+    return LazyAutomorphism(structure, impl)
 
 
 def embedding_from(structure: RelStructure, pairs=(), avoid=(),

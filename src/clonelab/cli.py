@@ -140,13 +140,7 @@ def _points_from(structure, data, ns) -> list:
             points.append(rng.randint(0, 1023))
         else:
             points.append(rng.randrange(carrier.size))
-    seen = set()
-    unique = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    return list(dict.fromkeys(points))
 
 
 def _enc(carrier, value):

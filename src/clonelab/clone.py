@@ -312,9 +312,6 @@ class CloneHom:
     def image(self, op: FinOp) -> FinOp:
         return self.mapping[op]
 
-    def unary_pairs(self):
-        return [(op, self.mapping[op]) for op in self.source.ops(1)]
-
     def is_homomorphism(self) -> bool:
         src, tgt = self.source, self.target
         for n in range(1, src.max_arity + 1):

@@ -170,9 +170,9 @@ class FinOp:
     tuple.  Nullary operations are allowed; their table has one entry and
     they are called with no arguments.
 
-    Finite operations compare and hash by (carrier, arity, table); lazy
-    operations compare by identity since extensional equality is not
-    decidable.
+    Finite operations compare by (carrier, arity, table) and hash by
+    their table alone, which equal operations share; lazy operations
+    compare by identity since extensional equality is not decidable.
     """
 
     __slots__ = ("carrier", "arity", "table", "rule", "label", "_memo")
@@ -235,7 +235,7 @@ class FinOp:
     def __hash__(self):
         if self.table is None:
             return object.__hash__(self)
-        return hash((self.carrier, self.arity, self.table))
+        return hash(self.table)
 
     def __repr__(self):
         if self.label:
@@ -289,6 +289,18 @@ def compose_tables(f_table, g_tables, size: int, m: int) -> tuple:
     for g in g_tables[1:]:
         index = [i * size + v for i, v in zip(index, g)]
     return tuple(map(f_table.__getitem__, index))
+
+
+def inverse_table(table):
+    """The inverse of a unary permutation table, or None if the table is
+    not a permutation of its own index range."""
+    size = len(table)
+    if sorted(table) != list(range(size)):
+        return None
+    inv = [0] * size
+    for x, y in enumerate(table):
+        inv[y] = x
+    return tuple(inv)
 
 
 def close_tables(seeds, gens, size: int, m: int, cap: int) -> list:
@@ -462,12 +474,9 @@ class Bijection:
     def from_table(cls, carrier: Carrier, table) -> "Bijection":
         carrier.require_finite()
         table = tuple(table)
-        if sorted(table) != list(range(carrier.size)):
+        inv = inverse_table(table)
+        if inv is None or len(inv) != carrier.size:
             raise NotBijective(f"table {list(table)} is not a permutation")
-        inverse = [0] * carrier.size
-        for x, y in enumerate(table):
-            inverse[y] = x
-        inv = tuple(inverse)
         return cls(carrier, lambda x: table[x], lambda y: inv[y], table=table)
 
     @classmethod
@@ -491,9 +500,7 @@ class Bijection:
         return self._bwd(y)
 
     def inverted(self) -> "Bijection":
-        inv_table = None
-        if self.table is not None:
-            inv_table = tuple(sorted(range(len(self.table)), key=self.table.__getitem__))
+        inv_table = None if self.table is None else inverse_table(self.table)
         return Bijection(self.carrier, self._bwd, self._fwd, table=inv_table)
 
     def as_op(self) -> FinOp:

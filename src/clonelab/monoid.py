@@ -34,6 +34,7 @@ from .fnspace import (
     conjugate_op,
     equal_on_window,
     identity_op,
+    inverse_table,
     make_op,
     op_from_json,
 )
@@ -78,14 +79,13 @@ class GroupSet(MonoidSet):
 
 
 def _normalise_ops(carrier: Carrier, ops: Iterable[FinOp]):
-    seen = []
+    ops = list(ops)
     for op in ops:
         if op.arity != 1:
             raise ValueError(f"monoid members must be unary, got arity {op.arity}")
         if op.carrier != carrier:
             raise ValueError("monoid members must share the carrier")
-        if op not in seen:
-            seen.append(op)
+    seen = list(dict.fromkeys(ops))
     if carrier.is_finite:
         seen.sort(key=lambda op: op.table)
     return tuple(seen)
@@ -114,7 +114,7 @@ def group_set(carrier: Carrier, ops: Iterable[FinOp]) -> GroupSet:
     if carrier.is_finite:
         tables = {op.table for op in members}
         for op in members:
-            inv = _inverse_table(op.table)
+            inv = inverse_table(op.table)
             if inv is None or inv not in tables:
                 raise ValueError(f"{op!r} is not invertible within the set")
         has_id = identity_op(carrier) in members
@@ -126,16 +126,6 @@ def _is_closed(carrier: Carrier, members) -> bool:
     tables = {op.table for op in members}
     return all(compose_tables(f, (g,), carrier.size, 1) in tables
                for f in tables for g in tables)
-
-
-def _inverse_table(table):
-    size = len(table)
-    if sorted(table) != list(range(size)):
-        return None
-    inv = [0] * size
-    for x, y in enumerate(table):
-        inv[y] = x
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +180,7 @@ def invertibles(m: MonoidSet) -> GroupSet:
     m.require_extensional()
     tables = {op.table for op in m.ops}
     return group_set(m.carrier, (op for op in m.ops
-                                 if _inverse_table(op.table) in tables))
+                                 if inverse_table(op.table) in tables))
 
 
 # ---------------------------------------------------------------------------

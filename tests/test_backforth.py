@@ -253,21 +253,34 @@ def test_forcing_a_point_records_the_pair():
 
 
 if HAVE_HYPOTHESIS:
-    @given(st.lists(st.tuples(st.booleans(),
+    @given(st.lists(st.tuples(st.sampled_from(["f", "f.inverse", "g",
+                                               "g.inverse"]),
                               st.integers(min_value=0, max_value=40)),
                     max_size=12))
     @settings(max_examples=80, deadline=None)
     def test_rado_mixed_queries_stay_partial_iso(queries):
         f = automorphism_from(R)
-        try:
-            for backward, x in queries:
-                if backward:
-                    f.inverse(x)
-                else:
-                    f(x)
-        except BudgetExceeded:
-            # an honest refusal; whatever was answered must still agree
-            pass
+        # a view taken before the first query must see every later answer
+        g = f.inverted()
+        # a fresh map asked the same questions through f alone
+        h = automorphism_from(R)
+        routes = {"f": (f, h), "f.inverse": (f.inverse, h.inverse),
+                  "g": (g, h.inverse), "g.inverse": (g.inverse, h)}
+
+        def answer(query, x):
+            try:
+                return query(x)
+            except BudgetExceeded:
+                return BudgetExceeded
+
+        for route, x in queries:
+            query, same_on_h = routes[route]
+            got = answer(query, x)
+            assert got == answer(same_on_h, x)
+            if got is BudgetExceeded:
+                # an honest refusal; whatever was answered must still agree
+                break
+        assert f.snapshot() == h.snapshot()
         snap = f.snapshot()
         values = [b for _, b in snap]
         assert len(set(values)) == len(values)
@@ -330,6 +343,9 @@ def test_embedding_json_shape():
 def test_automorphism_needs_catalog_carrier():
     with pytest.raises(UnsupportedLazyCarrier):
         automorphism_from(path_graph(3), [(0, 0)])
+    # the carrier is refused before the seed is read
+    with pytest.raises(UnsupportedLazyCarrier):
+        automorphism_from(path_graph(3), [(0, 0), (1, 0)])
     with pytest.raises(UnsupportedLazyCarrier):
         base_point(path_graph(3).carrier)
 

@@ -123,6 +123,27 @@ def test_finite_ops_compare_by_table():
     assert len({op2(AND_TABLE), op2(AND_TABLE), op2(OR_TABLE)}) == 2
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_finite_op_hash_agrees_with_equality(data):
+    size = data.draw(st.integers(min_value=1, max_value=3))
+    arity = data.draw(st.integers(min_value=0, max_value=2))
+    entries = size ** arity
+    table = data.draw(st.lists(st.integers(0, size - 1),
+                               min_size=entries, max_size=entries))
+    f = make_op(finite_carrier(size), arity, table=table)
+    twin = make_op(finite_carrier(size), arity, table=table, label="twin")
+    assert f == twin and hash(f) == hash(twin)
+    # the same table read on other carriers or at other arities is a
+    # different operation, and each keeps its own dict entry
+    others = [make_op(finite_carrier(k), n, table=table)
+              for k in range(1, 5) for n in range(3)
+              if (k, n) != (size, arity) and k ** n == entries
+              and max(table) < k]
+    keys = dict.fromkeys([f, twin] + others)
+    assert list(keys) == [f] + others
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
