@@ -184,7 +184,9 @@ class _RadoBackForth:
 # seed validation
 # ---------------------------------------------------------------------------
 
-def _validated_seed(structure: RelStructure, pairs) -> dict:
+def _validated_seed(structure: RelStructure, pairs):
+    """The seed as a dict and its inverse, or InvalidSeed if the pairs
+    are not a partial isomorphism."""
     carrier = structure.carrier
     seed = {}
     images = {}
@@ -208,7 +210,7 @@ def _validated_seed(structure: RelStructure, pairs) -> dict:
                     raise InvalidSeed(
                         f"pairs ({a}, {b}) and ({c}, {d}) disagree on "
                         f"relation {name}")
-    return seed
+    return seed, images
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +273,13 @@ class LazyEmbedding:
 
     __slots__ = ("structure", "_impl", "_avoid")
 
-    def __init__(self, structure: RelStructure, seed: dict, avoid, scan_cap: int):
+    def __init__(self, structure: RelStructure, seed: dict, inverse: dict,
+                 avoid, scan_cap: int):
         self.structure = structure
         self._avoid = frozenset(avoid)
         taken = dict.fromkeys(self._avoid)
-        taken.update((b, a) for a, b in seed.items())
-        self._impl = _RadoBackForth(dict(seed), taken, scan_cap)
+        taken.update(inverse)
+        self._impl = _RadoBackForth(seed, taken, scan_cap)
 
     def __call__(self, x):
         return self._impl.forward(self.structure.carrier.canonical(x))
@@ -320,12 +323,12 @@ def automorphism_from(structure: RelStructure, pairs=(),
         raise UnsupportedLazyCarrier(
             "back-and-forth strategies are available for the catalog "
             "structures only")
-    seed = _validated_seed(structure, pairs)
+    seed, inverse = _validated_seed(structure, pairs)
     if structure.carrier == RATIONALS:
         anchors = sorted(seed.items())
         impl = _PiecewiseLinear([a for a, _ in anchors], [b for _, b in anchors])
     else:
-        impl = _RadoBackForth(seed, {b: a for a, b in seed.items()}, scan_cap)
+        impl = _RadoBackForth(seed, inverse, scan_cap)
     return LazyAutomorphism(structure, impl)
 
 
@@ -338,12 +341,12 @@ def embedding_from(structure: RelStructure, pairs=(), avoid=(),
             "forward-only embeddings with avoidance are built on the "
             "bit-adjacency graph; on the rational order use "
             "automorphism_from, whose maps are embeddings already")
-    seed = _validated_seed(structure, pairs)
+    seed, inverse = _validated_seed(structure, pairs)
     avoid = {structure.carrier.canonical(v) for v in avoid}
-    clash = avoid & set(seed.values())
+    clash = avoid & inverse.keys()
     if clash:
         raise InvalidSeed(f"seed images {sorted(clash)} lie in the avoid set")
-    return LazyEmbedding(structure, seed, avoid, scan_cap)
+    return LazyEmbedding(structure, seed, inverse, avoid, scan_cap)
 
 
 # ---------------------------------------------------------------------------

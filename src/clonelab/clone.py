@@ -17,15 +17,23 @@ theta(f(c)).  Comparing that prediction with direct conjugation by theta
 (:func:`~clonelab.fnspace.conjugate_op`) gives a two-path consistency
 check with no shared code between the paths.
 
-:func:`enumerate_clone_homs` is the brute-force oracle used to confirm
-that no homomorphism escapes the conjugation description: it enumerates
-every arity-preserving, projection-preserving, composition-compatible map
-between two fragments by backtracking.
+Fragment homomorphisms are decided and enumerated from generators: a
+homomorphism out of a closed fragment that contains the projections is
+fixed by where it sends a generating set, and its graph at arity m is
+the set of pairs generated from the projection pairs by the generators
+applied on both sides at once (a map on generators extends iff it
+respects the generated structure; Bergman, *Universal Algebra*, 2012).
+:meth:`CloneHom.is_homomorphism` compares that graph with the mapping,
+and :func:`enumerate_clone_homs` searches over generator images, which is
+how it confirms that no homomorphism escapes the conjugation
+description.  Other sources are searched through every in-bound
+composition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -40,8 +48,10 @@ from .fnspace import (
     compose,
     compose_tables,
     conjugate_op,
+    finite_carrier,
     make_op,
     projection,
+    tuple_to_index,
 )
 from .monoid import MonoidSet, is_weakly_directed, monoid_set, weakly_directed_witnesses
 
@@ -52,18 +62,23 @@ class CloneFragment:
 
     ``contains_projections`` says whether every projection of every arity
     1..max_arity is present; ``closed_within_bound`` whether every
-    composition staying inside the bound lands in the fragment.  Both are
-    computed from scratch unless supplied by a builder that guarantees
-    them.
+    composition staying inside the bound lands in the fragment, None
+    while unknown.  ``generators``, when known, generate the fragment.
+    The projection flag is computed from scratch, and the others are
+    None, unless supplied by a builder that guarantees them; the
+    homomorphism checks fill in the closure flag and the generators of a
+    fragment that contains the projections.  None of them takes part in
+    equality.
     """
 
     __slots__ = ("carrier", "max_arity", "ops_by_arity", "_members",
-                 "contains_projections", "closed_within_bound")
+                 "contains_projections", "closed_within_bound", "generators")
 
     def __init__(self, carrier: Carrier, max_arity: int,
                  ops_by_arity: Dict[int, Iterable[FinOp]],
                  contains_projections: Optional[bool] = None,
-                 closed_within_bound: Optional[bool] = None):
+                 closed_within_bound: Optional[bool] = None,
+                 generators: Optional[Tuple[FinOp, ...]] = None):
         carrier.require_finite()
         if max_arity < 1:
             raise ValueError("max_arity must be at least 1")
@@ -93,6 +108,7 @@ class CloneFragment:
             )
         self.contains_projections = contains_projections
         self.closed_within_bound = closed_within_bound
+        self.generators = generators
 
     def arities(self) -> List[int]:
         return sorted(self.ops_by_arity)
@@ -194,7 +210,8 @@ def close_fragment(gens: Iterable[FinOp], max_arity: int = 3,
             grouped[m] = tuple(FinOp(carrier, m, table=t, label=labels.get(t))
                                for t in tables)
     return CloneFragment(carrier, max_arity, grouped,
-                         contains_projections=True, closed_within_bound=True)
+                         contains_projections=True, closed_within_bound=True,
+                         generators=tuple(dict.fromkeys(gens)))
 
 
 def composition_identities(frag: CloneFragment):
@@ -219,6 +236,118 @@ def is_closed_within_bound(frag: CloneFragment) -> bool:
     """Exhaustively confirm the closure flag of a fragment."""
     return all(frag.member(m, table) is not None
                for _, _, m, table in composition_identities(frag))
+
+
+# ---------------------------------------------------------------------------
+# generators and the graphs they generate
+# ---------------------------------------------------------------------------
+
+@cache
+def _projection_tables(size: int, m: int) -> tuple:
+    carrier = finite_carrier(size)
+    return tuple(projection(carrier, m, i).table for i in range(1, m + 1))
+
+
+def _level_seeds(gens, size: int, m: int) -> list:
+    """The m-ary seeds of a closure under ``(arity, table)`` generators
+    over ``size`` points: the projections, the generators of arity m and
+    the constant liftings of the nullary generators."""
+    return (list(_projection_tables(size, m))
+            + [t for n, t in gens if n == m]
+            + [t * size ** m for n, t in gens if n == 0])
+
+
+def _generating_set(frag: CloneFragment) -> Optional[Tuple[FinOp, ...]]:
+    """Generators of a fragment that contains the projections, chosen
+    greedily: arity by arity from the lowest, the first member in
+    canonical order that the generators so far do not generate is added
+    until they generate the level.  None as soon as a closure leaves the
+    fragment, which proves it not closed within its bound."""
+    size = frag.carrier.size
+    gens: List[FinOp] = []
+
+    def close(m: int):
+        tables = [(g.arity, g.table) for g in gens]
+        return close_tables(_level_seeds(tables, size, m), tables, size, m,
+                            len(frag.ops(m)),
+                            admit=lambda t: frag.member(m, t) is not None)
+
+    for m in range(frag.max_arity + 1):
+        while (found := close(m)) is not None and len(found) < len(frag.ops(m)):
+            known = set(found)
+            gens.append(next(op for op in frag.ops(m) if op.table not in known))
+        if found is None:
+            return None
+    # a generator added later acts on the lower levels as well
+    if any(close(m) is None for m in range(frag.max_arity)):
+        return None
+    return tuple(gens)
+
+
+def _generators(frag: CloneFragment) -> Optional[Tuple[FinOp, ...]]:
+    """The generators of a closed fragment that contains the projections,
+    found by :func:`_generating_set` unless recorded; None for any other
+    fragment.  The search settles the closure flag."""
+    if not frag.contains_projections or frag.closed_within_bound is False:
+        return None
+    if frag.generators is None:
+        frag.generators = _generating_set(frag)
+        frag.closed_within_bound = frag.generators is not None
+    return frag.generators
+
+
+@cache
+def _pair_codes(sa: int, sb: int, m: int):
+    """Index maps between pairs (f, g) of m-ary tables over sa and sb
+    points and m-ary tables over the sa * sb points (a, b) of the
+    product, coded a * sb + b.
+
+    Returns ``(both, from_a, from_b)``: product index k reads f at
+    ``both[k][0]`` and g at ``both[k][1]``, and ``from_a[i]``
+    (``from_b[j]``) is a product index that reads f at i (g at j).
+    """
+    both = []
+    for points in product(range(sa * sb), repeat=m):
+        i = j = 0
+        for p in points:
+            a, b = divmod(p, sb)
+            i, j = i * sa + a, j * sb + b
+        both.append((i, j))
+    from_a = [tuple_to_index([a * sb for a in args], sa * sb)
+              for args in product(range(sa), repeat=m)]
+    from_b = [tuple_to_index(args, sa * sb)
+              for args in product(range(sb), repeat=m)]
+    return tuple(both), tuple(from_a), tuple(from_b)
+
+
+def _pack(n: int, f, g, sa: int, sb: int) -> tuple:
+    """The n-ary table of f x g on the product of the two carriers."""
+    return tuple(f[i] * sb + g[j] for i, j in _pair_codes(sa, sb, n)[0])
+
+
+def _graph(packed, sa: int, sb: int, m: int, cap: int, admit):
+    """The m-ary pairs (f, g) generated from the projection pairs by the
+    ``(arity, table)`` product operations ``packed``, closed as tables
+    on the product carrier by :func:`close_tables`, as a dict f -> g.
+    None as soon as a pair gives some f a second image or fails
+    ``admit(f, g)``.  ``cap`` is the size of the source level, which a
+    map cannot exceed."""
+    s2 = sa * sb
+    _, from_a, from_b = _pair_codes(sa, sb, m)
+    graph: Dict[tuple, tuple] = {}
+
+    def add(table) -> bool:
+        f = tuple(table[k] // sb for k in from_a)
+        g = tuple(table[k] % sb for k in from_b)
+        if f in graph or not admit(f, g):
+            return False
+        graph[f] = g
+        return True
+
+    if close_tables(_level_seeds(packed, s2, m), packed, s2, m, cap,
+                    admit=add) is None:
+        return None
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +405,7 @@ def predict_from_unary_part(theta, unary_part, h: FinOp, targets) -> object:
 class CloneHom:
     """An arity-preserving map between two fragments.
 
-    The mapping is stored op-by-op.  ``is_homomorphism`` checks the
+    The mapping is stored op-by-op.  ``is_homomorphism`` decides the
     projection and composition conditions within the arity bound;
     ``is_conjugation_by`` compares against direct conjugation.
     """
@@ -313,6 +442,30 @@ class CloneHom:
         return self.mapping[op]
 
     def is_homomorphism(self) -> bool:
+        """Whether the mapping sends projections to projections and
+        respects every composition that stays within the bound.
+
+        For a closed source that contains the projections, this compares
+        the mapping at every arity m with the graph generated by the
+        images of the source generators (:func:`_graph`), stopping at the
+        first generated pair the mapping disagrees with.  Any other
+        source is checked on every in-bound composition.
+        """
+        src = self.source
+        gens = _generators(src)
+        if gens is None:
+            return self._respects_every_composition()
+        sa, sb = src.carrier.size, self.target.carrier.size
+        packed = [(g.arity, _pack(g.arity, g.table, self.mapping[g].table,
+                                  sa, sb)) for g in gens]
+        for m in range(src.max_arity + 1):
+            image = {op.table: self.mapping[op].table for op in src.ops(m)}
+            if _graph(packed, sa, sb, m, len(image),
+                      lambda f, g: image[f] == g) is None:
+                return False
+        return True
+
+    def _respects_every_composition(self) -> bool:
         src, tgt = self.source, self.target
         for n in range(1, src.max_arity + 1):
             for i in range(1, n + 1):
@@ -367,17 +520,80 @@ class CloneHom:
 
 def enumerate_clone_homs(source: CloneFragment,
                          target: CloneFragment) -> List[CloneHom]:
-    """Every fragment homomorphism from source to target, by backtracking.
+    """Every fragment homomorphism from source to target.
+
+    For a closed source that contains the projections the search runs
+    over generator images: each generator in turn receives each
+    operation of its arity in the target, in canonical table order, and
+    the graph the images assigned so far generate (:func:`_graph`) is
+    closed at every arity.  A branch is cut as soon as that graph gives
+    a source operation two images or an image outside the target; once
+    every generator has an image, the graph is the homomorphism.  Any
+    other source is searched member by member through every in-bound
+    composition.  Either way the homomorphisms come sorted by the tuple
+    of target positions of their images, source members in canonical
+    order.
+    """
+    if source.carrier != target.carrier and source.carrier.size != target.carrier.size:
+        raise ValueError("fragments must live on carriers of one size")
+    gens = _generators(source)
+    if gens is None:
+        return _homs_by_compositions(source, target)
+    gens = sorted(gens, key=lambda g: g.arity)
+    size = source.carrier.size
+    levels = range(source.max_arity + 1)
+    packed: List[tuple] = []
+    results = []
+
+    def graph_or_none():
+        """The graph of the images assigned so far, arity by arity, or
+        None when it is not a map into the target."""
+        graph = {}
+        for m in levels:
+            graph[m] = _graph(packed, size, size, m, len(source.ops(m)),
+                              lambda f, g: target.member(m, g) is not None)
+            if graph[m] is None:
+                return None
+        return graph
+
+    def extend(j: int, graph):
+        if j == len(gens):
+            results.append(graph)
+            return
+        g = gens[j]
+        for image in target.ops(g.arity):
+            packed.append((g.arity, _pack(g.arity, g.table, image.table,
+                                          size, size)))
+            deeper = graph_or_none()
+            if deeper is not None:
+                extend(j + 1, deeper)
+            packed.pop()
+
+    root = graph_or_none()
+    if root is not None:
+        extend(0, root)
+    ordered = list(source.all_ops())
+    position = {(n, op.table): i for n in target.arities()
+                for i, op in enumerate(target.ops(n))}
+    results.sort(key=lambda graph: [position[n, graph[n][op.table]]
+                                    for n, op in ordered])
+    return [CloneHom(source, target,
+                     {op: target.member(n, graph[n][op.table])
+                      for n, op in ordered})
+            for graph in results]
+
+
+def _homs_by_compositions(source: CloneFragment,
+                          target: CloneFragment) -> List[CloneHom]:
+    """Every fragment homomorphism, by backtracking over the source
+    members in canonical order.
 
     Projections are pinned to projections up front.  All in-bound
     composition identities of the source are precomputed as triples
     (outer, inners, result) and each is checked as soon as the last of its
     participants receives an image, so contradictions prune the search
-    immediately.  Output order is deterministic: images are tried in
-    canonical table order.
+    immediately.  Images are tried in canonical table order.
     """
-    if source.carrier != target.carrier and source.carrier.size != target.carrier.size:
-        raise ValueError("fragments must live on carriers of one size")
     ordered = [op for _, op in source.all_ops()]
     rank = {op: r for r, op in enumerate(ordered)}
     count = len(ordered)

@@ -303,7 +303,9 @@ def inverse_table(table):
     return tuple(inv)
 
 
-def close_tables(seeds, gens, size: int, m: int, cap: int) -> list:
+def close_tables(seeds, gens, size: int, m: int, cap: int,
+                 admit: Optional[Callable[[tuple], bool]] = None
+                 ) -> Optional[list]:
     """The m-ary tables generated from ``seeds`` by applying ``gens``.
 
     ``seeds`` are m-ary value tables and ``gens`` are ``(arity, table)``
@@ -315,11 +317,15 @@ def close_tables(seeds, gens, size: int, m: int, cap: int) -> list:
     tuple of found tables is composed exactly once, when its last-found
     member leaves the worklist, and the result is closed under every
     generator.  Raises :class:`BudgetExceeded` as soon as more than
-    ``cap`` tables are found.
+    ``cap`` tables are found.  When ``admit`` is given, each table is
+    passed to it as it is found, seeds first, and the closure returns
+    None as soon as it answers False.
     """
     found = list(dict.fromkeys(seeds))
     known = set(found)
     gens = list(dict.fromkeys(gens))
+    if admit is not None and not all(map(admit, found)):
+        return None
     overflow = f"closure exceeded {cap} tables at arity {m}"
     if len(found) > cap:
         raise BudgetExceeded(overflow)
@@ -333,6 +339,8 @@ def close_tables(seeds, gens, size: int, m: int, cap: int) -> list:
                 for gs in product(*pools):
                     h = compose_tables(g, gs, size, m)
                     if h not in known:
+                        if admit is not None and not admit(h):
+                            return None
                         known.add(h)
                         found.append(h)
                         if len(found) > cap:

@@ -19,7 +19,6 @@ extends to any finite list of targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, NoCommonAncestor, UnsupportedLazyCarrier
@@ -270,9 +269,15 @@ def injective_endos_fixing(m: MonoidSet, fixed: Iterable[FinOp]):
     given members pointwise.
 
     The monoid must be composition closed and contain the identity.  On a
-    finite monoid injectivity forces bijectivity, so the search runs over
-    permutations of the non-fixed members and keeps those compatible with
-    the composition table (and sending the identity to itself).
+    finite monoid injectivity forces bijectivity.  An endomorphism psi is
+    fixed by the images of a generating set, taken from a Cayley-graph
+    search (:func:`_cayley_steps`) with the fixed members first, so that
+    their images are pinned.  The search gives each generator in turn
+    every image not yet used, extends psi along the search tree by
+    psi(g t) = psi(g) psi(t), and drops the branch as soon as an edge of
+    the graph contradicts that rule, psi hits a member twice, or it
+    moves a fixed member.  A psi that respects every edge respects every
+    composition (induction on the length of a word in the generators).
 
     Returns a sorted list of index permutations: entry k of a result is
     the index of the image of member k in canonical table order.  The
@@ -298,24 +303,76 @@ def injective_endos_fixing(m: MonoidSet, fixed: Iterable[FinOp]):
             raise ValueError(f"fixed member {op!r} is not in the monoid")
         fixed_idx.add(index[op.table])
     movable = [i for i in range(n) if i not in fixed_idx]
+    gens, steps = _cayley_steps(comp, id_idx, sorted(fixed_idx) + list(range(n)))
 
     results = []
-    for images in permutations(movable):
-        psi = list(range(n))
-        for slot, img in zip(movable, images):
-            psi[slot] = img
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if psi[comp[i][j]] != comp[psi[i]][psi[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    psi = [id_idx] * n
+    used = {id_idx}
+
+    def extend(j: int):
+        if j == len(gens):
             results.append(tuple(psi))
+            return
+        x = gens[j]
+        for image in ((x,) if x in fixed_idx else movable):
+            if image in used:
+                continue
+            psi[x] = image
+            added = [image]
+            used.add(image)
+            for w, g, t, new in steps[j]:
+                v = comp[psi[g]][psi[t]]
+                if not new:
+                    if psi[w] != v:
+                        break
+                elif v in used or (w in fixed_idx and v != w):
+                    break
+                else:
+                    psi[w] = v
+                    added.append(v)
+                    used.add(v)
+            else:
+                extend(j + 1)
+            used.difference_update(added)
+
+    extend(0)
     results.sort()
     return results
+
+
+def _cayley_steps(comp, root: int, order):
+    """Generators of a finite monoid and, for each, the Cayley-graph
+    edges it adds.
+
+    ``comp[g][t]`` is the index of g o t and ``root`` that of the
+    identity.  Walking ``order``, each member not yet reached from the
+    root by left multiplication with the generators so far becomes the
+    next generator.  Its step lists the edges (w, g, t), w = g o t, for
+    every reached t with the new generator and for every newly reached t
+    with every generator, in search order; ``new`` marks the edge that
+    first reaches w.  Across the steps every edge appears once.
+    """
+    reached = [root]
+    seen = {root}
+    gens, steps = [], []
+    for x in order:
+        if x in seen:
+            continue
+        gens.append(x)
+        queue = [(t, x) for t in reached] + [(x, g) for g in gens]
+        seen.add(x)
+        reached.append(x)
+        step = []
+        for t, g in queue:
+            w = comp[g][t]
+            new = w not in seen
+            if new:
+                seen.add(w)
+                reached.append(w)
+                queue.extend((w, h) for h in gens)
+            step.append((w, g, t, new))
+        steps.append(step)
+    return gens, steps
 
 
 def endo_report(m: MonoidSet, fixed: Iterable[FinOp]) -> dict:

@@ -15,9 +15,12 @@ import pytest
 
 from clonelab import cli
 from clonelab.cli import main
+from clonelab.clone import _homs_by_compositions, fragment_from_json
+from clonelab.monoid import monoid_to_json
 from clonelab.structures import (
     complete_graph,
     cycle_graph,
+    end_monoid,
     path_graph,
     structure_to_json,
 )
@@ -374,6 +377,15 @@ def test_injective_endos_of_z2(tmp_path, capsys):
     assert inner["maps"] == [[0, 1]]
 
 
+def test_injective_endos_of_end_k4(tmp_path, capsys):
+    payload = {"monoid": monoid_to_json(end_monoid(complete_graph(4))),
+               "fixed": [[0, 1, 2, 3]]}
+    code, report = run_json(tmp_path, capsys, "injective-endos", payload)
+    assert code == 0
+    assert report["parameters"]["monoid_size"] == 24
+    assert report["results"]["report"]["count"] == 24
+
+
 def test_centre_of_s3_is_trivial(tmp_path, capsys):
     payload = {"monoid": {"carrier": {"kind": "finite", "size": 3},
                           "ops": S3_TABLES}}
@@ -570,3 +582,54 @@ def test_handler_swapped_in_after_the_first_call_runs(tmp_path, capsys,
     report = json.loads(out)
     assert report["parameters"] == {"swapped": True}
     assert report["failures"] == ["planted failure"]
+
+
+# ---------------------------------------------------------------------------
+# fragment homomorphisms from generator images, and the exhaustive fallback
+# ---------------------------------------------------------------------------
+
+FINITE2 = {"kind": "finite", "size": 2}
+
+
+def test_verify_lifting_of_not_and_at_the_default_arity_bound(tmp_path, capsys):
+    payload = {"source": {"carrier": FINITE2, "generators": [
+        {"arity": 1, "table": [1, 0]}, {"arity": 2, "table": [0, 0, 0, 1]}]},
+        "theta": [1, 0]}
+    code, report = run_json(tmp_path, capsys, "verify-lifting", payload)
+    assert code == 0
+    assert report["parameters"]["max_arity"] == 3
+    inner = report["results"]["report"]
+    assert inner["conclusion"] == "conjugation-at-every-arity"
+    assert inner["checked"] == 276
+
+
+def test_enumerate_homs_of_the_kleene_fragment(tmp_path, capsys):
+    payload = {"source": {"carrier": {"kind": "finite", "size": 3},
+                          "generators": [
+        {"arity": 2, "table": [min(a, b) for a in range(3) for b in range(3)]},
+        {"arity": 1, "table": [2, 1, 0]}]}}
+    code, report = run_json(tmp_path, capsys, "enumerate-homs", payload,
+                            "--max-arity", "2")
+    assert code == 0
+    assert report["parameters"]["source_ops"] == 86
+    assert report["results"]["count"] == 2
+
+
+@pytest.mark.parametrize("ops", [
+    # not closed: and(not x, y) is missing
+    {"1": [[0, 1], [1, 0]], "2": [[0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]]},
+    # no projections
+    {"1": [[0, 0], [1, 0]], "2": [[0, 0, 0, 1], [0, 1, 1, 1]]},
+], ids=["not-closed", "no-projections"])
+def test_enumerate_homs_falls_back_for_other_sources(tmp_path, capsys, ops):
+    source = {"carrier": FINITE2, "max_arity": 2, "ops": ops}
+    code, report = run_json(tmp_path, capsys, "enumerate-homs",
+                            {"source": source})
+    assert code == 0
+    frag = fragment_from_json(source)
+    expected = [[list(hom.image(op).table) for _, op in frag.all_ops()]
+                for hom in _homs_by_compositions(frag, frag)]
+    got = [[entry["to"] for entry in hom["mappings"]]
+           for hom in report["results"]["homs"]]
+    assert got == expected
+    assert report["results"]["count"] == len(expected) > 0

@@ -19,13 +19,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from clonelab.errors import BudgetExceeded, NotBijective
 from clonelab.clone import (
     CloneFragment,
     CloneHom,
+    _generators,
+    _homs_by_compositions,
     close_fragment,
     conjugate_fragment,
     enumerate_clone_homs,
@@ -435,3 +437,145 @@ def test_fragment_json_round_trip():
     again = fragment_from_json(data)
     assert again == frag
     assert again.contains_projections
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms from generator images, against the search through every
+# in-bound composition (the exhaustive oracle)
+# ---------------------------------------------------------------------------
+
+MIN3 = tuple(min(a, b) for a in range(3) for b in range(3))
+MAX3 = tuple(max(a, b) for a in range(3) for b in range(3))
+B3 = finite_carrier(3)
+KLEENE_GENS = [make_op(B3, 2, table=MIN3), make_op(B3, 1, table=[2, 1, 0])]
+
+
+def as_tables(frag):
+    """The same fragment given by its tables alone (the CLI ``ops``
+    form), so its generators are found by the greedy search."""
+    return fragment_from_json(fragment_to_json(frag))
+
+
+def index_maps(homs):
+    return [h.as_index_map() for h in homs]
+
+
+def agrees_with_exhaustive_search(source, target):
+    homs = enumerate_clone_homs(source, target)
+    assert index_maps(homs) == index_maps(_homs_by_compositions(source, target))
+    for hom in homs:
+        assert hom.is_homomorphism()
+        assert hom._respects_every_composition()
+    return homs
+
+
+@st.composite
+def fragment_specs(draw, size):
+    """(size, max_arity, generators, form) of a small fragment.  Binary
+    generators on three points come from a few semilattice tables, since
+    random ones generate thousands of operations."""
+    max_arity = draw(st.sampled_from((1, 2)))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, max_arity))
+        if size == 3 and n == 2:
+            table = draw(st.sampled_from((MIN3, MAX3)))
+        else:
+            table = tuple(draw(st.lists(st.integers(0, size - 1),
+                                        min_size=size ** n,
+                                        max_size=size ** n)))
+        gens.append((n, table))
+    return size, max_arity, tuple(gens), draw(st.sampled_from(("generators",
+                                                                "tables")))
+
+
+def fragment_of(spec):
+    size, max_arity, gens, form = spec
+    carrier = finite_carrier(size)
+    try:
+        frag = close_fragment([make_op(carrier, n, table=t) for n, t in gens],
+                              max_arity=max_arity, op_cap=48)
+    except BudgetExceeded:
+        reject()
+    return as_tables(frag) if form == "tables" else frag
+
+
+NOT_AND = (2, 2, ((1, (1, 0)), (2, (0, 0, 0, 1))), "generators")
+
+
+@given(spec=st.sampled_from((2, 3)).flatmap(fragment_specs),
+       wrong=st.none() | st.tuples(st.integers(0, 999), st.integers(0, 999)))
+# the identity of {not, and} except that OR (canonical position 4 + 7, not
+# a generator) goes to AND (position 1 of the binary level)
+@example(spec=NOT_AND, wrong=(11, 1))
+@settings(max_examples=60, deadline=None)
+def test_is_homomorphism_agrees_with_the_exhaustive_check(spec, wrong):
+    frag = fragment_of(spec)
+    mapping = {op: op for _, op in frag.all_ops()}
+    if wrong is not None:
+        ordered = list(frag.all_ops())
+        n, op = ordered[wrong[0] % len(ordered)]
+        mapping[op] = frag.ops(n)[wrong[1] % len(frag.ops(n))]
+    xi = CloneHom(frag, frag, mapping)
+    assert xi.is_homomorphism() == xi._respects_every_composition()
+    if spec == NOT_AND and wrong == (11, 1):
+        assert not xi.is_homomorphism()
+
+
+@given(specs=st.sampled_from((2, 3)).flatmap(
+    lambda size: st.tuples(fragment_specs(size), fragment_specs(size))))
+@settings(max_examples=60, deadline=None)
+def test_enumeration_agrees_with_the_exhaustive_search(specs):
+    agrees_with_exhaustive_search(*map(fragment_of, specs))
+
+
+def test_enumeration_on_the_acceptance_sweep_given_as_tables():
+    unary = ([0, 1], [1, 0], [0, 0], [1, 1])
+    binary = ([0, 0, 0, 1], [0, 1, 1, 1], [0, 1, 1, 0], [1, 1, 1, 0])
+    frags = {}
+    for r in range(len(unary) + 1):
+        for combo in itertools.combinations(unary, r):
+            for b in binary:
+                gens = [make_op(B2, 1, table=u) for u in combo]
+                frag = close_fragment(gens + [make_op(B2, 2, table=b)],
+                                      max_arity=2)
+                frags.setdefault(frag.signature(), as_tables(frag))
+    count = 0
+    for source in frags.values():
+        for target in frags.values():
+            count += len(agrees_with_exhaustive_search(source, target))
+    assert (len(frags), count) == (11, 68)
+
+
+def test_close_fragment_records_its_generators_outside_equality():
+    frag = close_fragment([NOT, AND, NOT], max_arity=2)
+    assert frag.generators == (NOT, AND)
+    again = as_tables(frag)
+    assert again.generators is None and again == frag
+
+
+def test_greedy_generators_of_fragments_given_as_tables():
+    frag = as_tables(close_fragment([NOT, AND], max_arity=2))
+    assert frag.closed_within_bound is None
+    assert [op.table for op in _generators(frag)] == [(0, 0), (1, 0),
+                                                     (0, 0, 0, 1)]
+    assert frag.closed_within_bound is True
+    kleene = as_tables(close_fragment(KLEENE_GENS, max_arity=2))
+    assert (kleene.op_count(), len(_generators(kleene))) == (86, 6)
+
+
+def test_sources_that_are_not_closed_or_lack_projections_fall_back():
+    closed = close_fragment([NOT, AND], max_arity=2)
+    target = as_tables(closed)
+    open_ = CloneFragment(B2, 2, {1: [ID2, NOT], 2: closed.ops(2)})
+    bare = CloneFragment(B2, 2, {1: [NOT, C0], 2: [AND, OR]})
+    assert _generators(open_) is None and open_.closed_within_bound is False
+    assert _generators(bare) is None and not bare.contains_projections
+    for source in (open_, bare):
+        assert agrees_with_exhaustive_search(source, target)
+
+
+def test_kleene_homs_from_recorded_and_found_generators():
+    frag = close_fragment(KLEENE_GENS, max_arity=2)
+    for source in (frag, as_tables(frag)):
+        assert len(enumerate_clone_homs(source, source)) == 2

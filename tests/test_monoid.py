@@ -9,9 +9,10 @@ compatible), and the two-element monoid {identity, swap} is rigid.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from clonelab.errors import BudgetExceeded, UnsupportedLazyCarrier
@@ -312,6 +313,51 @@ def test_endos_require_closed_monoid_with_identity():
     not_closed = MonoidLike = monoid_set(B2, [NOT])
     with pytest.raises(ValueError):
         injective_endos_fixing(not_closed, [])
+
+
+def endos_by_permutations(m, fixed):
+    """The exhaustive oracle: every permutation of the members that fixes
+    the identity and ``fixed`` and respects the composition table."""
+    tables = m.tables()
+    size = m.carrier.size
+    index = {t: i for i, t in enumerate(tables)}
+    comp = [[index[tuple(f[g[x]] for x in range(size))] for g in tables]
+            for f in tables]
+    keep = {index[tuple(range(size))]} | {index[op.table] for op in fixed}
+    movable = [i for i in range(len(tables)) if i not in keep]
+    found = []
+    for images in permutations(movable):
+        psi = list(range(len(tables)))
+        for slot, image in zip(movable, images):
+            psi[slot] = image
+        if all(psi[comp[i][j]] == comp[psi[i]][psi[j]]
+               for i in range(len(tables)) for j in range(len(tables))):
+            found.append(tuple(psi))
+    return found
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_endos_agree_with_the_permutation_search(data):
+    size = data.draw(st.integers(min_value=2, max_value=4))
+    carrier = finite_carrier(size)
+    gens = [make_op(carrier, 1, table=data.draw(
+        st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3)))]
+    try:
+        m = close_under_composition(gens, cap=7)
+    except BudgetExceeded:
+        reject()
+    fixed = data.draw(st.lists(st.sampled_from(m.ops), max_size=1))
+    assert injective_endos_fixing(m, fixed) == endos_by_permutations(m, fixed)
+
+
+def test_endos_of_s4_are_its_inner_automorphisms():
+    swap = make_op(finite_carrier(4), 1, table=[1, 0, 2, 3])
+    cycle = make_op(finite_carrier(4), 1, table=[1, 2, 3, 0])
+    s4 = close_under_composition([swap, cycle])
+    maps = injective_endos_fixing(s4, [identity_op(s4.carrier)])
+    assert (len(s4), len(maps)) == (24, 24)
 
 
 def test_endo_report_shape():
