@@ -340,12 +340,13 @@ def _arity_of(table, carrier) -> int:
     arity = 0
     size = carrier.size
     total = 1
-    while total < n:
+    # powers of 0 and 1 never grow past 1
+    while total < n and size > 1:
         total *= size
         arity += 1
     if total != n:
         raise ValueError(f"table length {n} is not a power of {size}")
-    return max(arity, 1) if n > 1 else (1 if size == 1 else 0)
+    return 1 if size == 1 else arity
 
 
 def cmd_homogeneity(ns) -> Tuple[dict, dict, list]:

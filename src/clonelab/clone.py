@@ -17,17 +17,20 @@ theta(f(c)).  Comparing that prediction with direct conjugation by theta
 (:func:`~clonelab.fnspace.conjugate_op`) gives a two-path consistency
 check with no shared code between the paths.
 
-Fragment homomorphisms are decided and enumerated from generators: a
-homomorphism out of a closed fragment that contains the projections is
-fixed by where it sends a generating set, and its graph at arity m is
-the set of pairs generated from the projection pairs by the generators
-applied on both sides at once (a map on generators extends iff it
-respects the generated structure; Bergman, *Universal Algebra*, 2012).
-:meth:`CloneHom.is_homomorphism` compares that graph with the mapping,
-and :func:`enumerate_clone_homs` searches over generator images, which is
+Fragment homomorphisms are decided and enumerated on composition
+identities f(g_1, ..., g_n) = h.  Out of a closed fragment that contains
+the projections, a map that fixes the projections and respects the
+identities whose outer operation is a generator respects them all, since
+every member is a term in the generators and induction on terms does the
+rest (a map on generators extends iff it respects the generated
+structure; Bergman, *Universal Algebra*, 2012).  So for such a fragment
+the identities whose outer operation is a generator suffice; any other
+fragment is checked on every in-bound composition.
+:meth:`CloneHom.is_homomorphism` checks those identities, and
+:func:`enumerate_clone_homs` backtracks over member images with every
+identity checked as soon as its last participant has an image, which is
 how it confirms that no homomorphism escapes the conjugation
-description.  Other sources are searched through every in-bound
-composition.
+description.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .fnspace import (
     finite_carrier,
     make_op,
     projection,
-    tuple_to_index,
 )
 from .monoid import MonoidSet, is_weakly_directed, monoid_set, weakly_directed_witnesses
 
@@ -214,32 +216,36 @@ def close_fragment(gens: Iterable[FinOp], max_arity: int = 3,
                          generators=tuple(dict.fromkeys(gens)))
 
 
-def composition_identities(frag: CloneFragment):
-    """Every composition of fragment members that stays within the bound.
+def composition_identities(frag: CloneFragment, outer: Iterable[FinOp]):
+    """Every composition with an outer operation from ``outer`` and inner
+    fragment members that stays within the bound.
 
-    Yields ``(f, gs, m, table)``: an n-ary member f, n members gs of
-    arity m, and the value table of f(g_1, ..., g_n).  A nullary f
+    Yields ``(f, gs, m, table)``: an n-ary f from ``outer``, n members gs
+    of arity m, and the value table of f(g_1, ..., g_n).  A nullary f
     yields its constant lifting at every arity m in 0..max_arity.  The
     table need not belong to the fragment; look it up with
-    :meth:`CloneFragment.member`.
+    :meth:`CloneFragment.member`.  With every member as ``outer`` these
+    are all in-bound compositions; a homomorphism out of a closed
+    fragment that contains the projections need only respect those whose
+    outer operation is one of its generators.
     """
     size = frag.carrier.size
-    for n in frag.arities():
-        for f in frag.ops(n):
-            for m in range(0, frag.max_arity + 1):
-                for gs in product(frag.ops(m), repeat=n):
-                    yield f, gs, m, compose_tables(
-                        f.table, [g.table for g in gs], size, m)
+    for f in outer:
+        for m in range(0, frag.max_arity + 1):
+            for gs in product(frag.ops(m), repeat=f.arity):
+                yield f, gs, m, compose_tables(
+                    f.table, [g.table for g in gs], size, m)
 
 
 def is_closed_within_bound(frag: CloneFragment) -> bool:
     """Exhaustively confirm the closure flag of a fragment."""
+    members = [op for _, op in frag.all_ops()]
     return all(frag.member(m, table) is not None
-               for _, _, m, table in composition_identities(frag))
+               for _, _, m, table in composition_identities(frag, members))
 
 
 # ---------------------------------------------------------------------------
-# generators and the graphs they generate
+# generators
 # ---------------------------------------------------------------------------
 
 @cache
@@ -248,39 +254,54 @@ def _projection_tables(size: int, m: int) -> tuple:
     return tuple(projection(carrier, m, i).table for i in range(1, m + 1))
 
 
-def _level_seeds(gens, size: int, m: int) -> list:
-    """The m-ary seeds of a closure under ``(arity, table)`` generators
-    over ``size`` points: the projections, the generators of arity m and
-    the constant liftings of the nullary generators."""
-    return (list(_projection_tables(size, m))
-            + [t for n, t in gens if n == m]
-            + [t * size ** m for n, t in gens if n == 0])
+def _close_level(frag: CloneFragment, gens, m: int) -> list:
+    """The m-ary tables that ``gens`` generate, closed by
+    :func:`~clonelab.fnspace.close_tables` from the m projections, the
+    generators of arity m and the constant liftings of the nullary
+    generators, in the order found.  Capped at the size of the level,
+    so it raises :class:`BudgetExceeded` once the closure outgrows it."""
+    size = frag.carrier.size
+    tables = [(g.arity, g.table) for g in gens]
+    seeds = (list(_projection_tables(size, m))
+             + [t for n, t in tables if n == m]
+             + [t * size ** m for n, t in tables if n == 0])
+    return close_tables(seeds, tables, size, m, len(frag.ops(m)))
 
 
 def _generating_set(frag: CloneFragment) -> Optional[Tuple[FinOp, ...]]:
-    """Generators of a fragment that contains the projections, chosen
-    greedily: arity by arity from the lowest, the first member in
+    """Generators of a fragment that contains the projections, or None
+    when it is not closed within its bound.
+
+    Chosen greedily: arity by arity from the lowest, the first member in
     canonical order that the generators so far do not generate is added
-    until they generate the level.  None as soon as a closure leaves the
-    fragment, which proves it not closed within its bound."""
-    size = frag.carrier.size
+    until they generate the level.  A closure that outgrows the level or
+    finds a table that is not a member proves the fragment not closed.
+    Then each generator that the others generate at its own arity is
+    dropped: it is a term in them, so it adds nothing at any level.
+    """
     gens: List[FinOp] = []
 
-    def close(m: int):
-        tables = [(g.arity, g.table) for g in gens]
-        return close_tables(_level_seeds(tables, size, m), tables, size, m,
-                            len(frag.ops(m)),
-                            admit=lambda t: frag.member(m, t) is not None)
+    def close(m: int, using) -> Optional[list]:
+        try:
+            found = _close_level(frag, using, m)
+        except BudgetExceeded:
+            return None
+        return found if all(frag.member(m, t) is not None
+                            for t in found) else None
 
     for m in range(frag.max_arity + 1):
-        while (found := close(m)) is not None and len(found) < len(frag.ops(m)):
+        while (found := close(m, gens)) is not None and len(found) < len(frag.ops(m)):
             known = set(found)
             gens.append(next(op for op in frag.ops(m) if op.table not in known))
         if found is None:
             return None
     # a generator added later acts on the lower levels as well
-    if any(close(m) is None for m in range(frag.max_arity)):
+    if any(close(m, gens) is None for m in range(frag.max_arity)):
         return None
+    for g in list(gens):
+        others = [h for h in gens if h is not g]
+        if g.table in close(g.arity, others):
+            gens = others
     return tuple(gens)
 
 
@@ -294,60 +315,6 @@ def _generators(frag: CloneFragment) -> Optional[Tuple[FinOp, ...]]:
         frag.generators = _generating_set(frag)
         frag.closed_within_bound = frag.generators is not None
     return frag.generators
-
-
-@cache
-def _pair_codes(sa: int, sb: int, m: int):
-    """Index maps between pairs (f, g) of m-ary tables over sa and sb
-    points and m-ary tables over the sa * sb points (a, b) of the
-    product, coded a * sb + b.
-
-    Returns ``(both, from_a, from_b)``: product index k reads f at
-    ``both[k][0]`` and g at ``both[k][1]``, and ``from_a[i]``
-    (``from_b[j]``) is a product index that reads f at i (g at j).
-    """
-    both = []
-    for points in product(range(sa * sb), repeat=m):
-        i = j = 0
-        for p in points:
-            a, b = divmod(p, sb)
-            i, j = i * sa + a, j * sb + b
-        both.append((i, j))
-    from_a = [tuple_to_index([a * sb for a in args], sa * sb)
-              for args in product(range(sa), repeat=m)]
-    from_b = [tuple_to_index(args, sa * sb)
-              for args in product(range(sb), repeat=m)]
-    return tuple(both), tuple(from_a), tuple(from_b)
-
-
-def _pack(n: int, f, g, sa: int, sb: int) -> tuple:
-    """The n-ary table of f x g on the product of the two carriers."""
-    return tuple(f[i] * sb + g[j] for i, j in _pair_codes(sa, sb, n)[0])
-
-
-def _graph(packed, sa: int, sb: int, m: int, cap: int, admit):
-    """The m-ary pairs (f, g) generated from the projection pairs by the
-    ``(arity, table)`` product operations ``packed``, closed as tables
-    on the product carrier by :func:`close_tables`, as a dict f -> g.
-    None as soon as a pair gives some f a second image or fails
-    ``admit(f, g)``.  ``cap`` is the size of the source level, which a
-    map cannot exceed."""
-    s2 = sa * sb
-    _, from_a, from_b = _pair_codes(sa, sb, m)
-    graph: Dict[tuple, tuple] = {}
-
-    def add(table) -> bool:
-        f = tuple(table[k] // sb for k in from_a)
-        g = tuple(table[k] % sb for k in from_b)
-        if f in graph or not admit(f, g):
-            return False
-        graph[f] = g
-        return True
-
-    if close_tables(_level_seeds(packed, s2, m), packed, s2, m, cap,
-                    admit=add) is None:
-        return None
-    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -445,40 +412,30 @@ class CloneHom:
         """Whether the mapping sends projections to projections and
         respects every composition that stays within the bound.
 
-        For a closed source that contains the projections, this compares
-        the mapping at every arity m with the graph generated by the
-        images of the source generators (:func:`_graph`), stopping at the
-        first generated pair the mapping disagrees with.  Any other
-        source is checked on every in-bound composition.
+        The compositions checked are those whose outer operation is a
+        generator when the source is closed and contains the projections
+        (see :func:`composition_identities`), and every in-bound
+        composition otherwise.
         """
-        src = self.source
-        gens = _generators(src)
-        if gens is None:
-            return self._respects_every_composition()
-        sa, sb = src.carrier.size, self.target.carrier.size
-        packed = [(g.arity, _pack(g.arity, g.table, self.mapping[g].table,
-                                  sa, sb)) for g in gens]
-        for m in range(src.max_arity + 1):
-            image = {op.table: self.mapping[op].table for op in src.ops(m)}
-            if _graph(packed, sa, sb, m, len(image),
-                      lambda f, g: image[f] == g) is None:
-                return False
-        return True
-
-    def _respects_every_composition(self) -> bool:
         src, tgt = self.source, self.target
         for n in range(1, src.max_arity + 1):
             for i in range(1, n + 1):
                 e = projection(src.carrier, n, i)
                 if src.contains(e) and self.mapping[e] != projection(tgt.carrier, n, i):
                     return False
-        image = {op: img.table for op, img in self.mapping.items()}
-        for f, gs, m, table in composition_identities(src):
-            h = src.member(m, table)
+        gens = _generators(src)
+        outer = [op for _, op in src.all_ops()] if gens is None else gens
+        # keyed by source members only, which the mapping may exceed
+        image = {(n, op.table): self.mapping[op].table
+                 for n, op in src.all_ops()}
+        size = tgt.carrier.size
+        for f, gs, m, table in composition_identities(src, outer):
+            h = image.get((m, table))
             if h is not None:
-                expected = compose_tables(image[f], [image[g] for g in gs],
-                                          tgt.carrier.size, m)
-                if image[h] != expected:
+                expected = compose_tables(image[f.arity, f.table],
+                                          [image[m, g.table] for g in gs],
+                                          size, m)
+                if h != expected:
                     return False
         return True
 
@@ -518,84 +475,44 @@ class CloneHom:
         return f"CloneHom(mode={self.mode}, indices={self.as_index_map()})"
 
 
+def _generated_order(frag: CloneFragment, gens) -> List[FinOp]:
+    """The members of a fragment that ``gens`` generate: the generators
+    first, by arity, then each level in the order
+    :func:`~clonelab.fnspace.close_tables` finds it from the projections.
+    Each member after the seeds of its level is then a generator applied
+    to members before it."""
+    levels = [frag.member(m, t) for m in range(frag.max_arity + 1)
+              for t in _close_level(frag, gens, m)]
+    return list(dict.fromkeys(sorted(gens, key=lambda g: g.arity) + levels))
+
+
 def enumerate_clone_homs(source: CloneFragment,
                          target: CloneFragment) -> List[CloneHom]:
-    """Every fragment homomorphism from source to target.
+    """Every fragment homomorphism from source to target, sorted by the
+    tuple of target positions of the images of the source members in
+    canonical order.
 
-    For a closed source that contains the projections the search runs
-    over generator images: each generator in turn receives each
-    operation of its arity in the target, in canonical table order, and
-    the graph the images assigned so far generate (:func:`_graph`) is
-    closed at every arity.  A branch is cut as soon as that graph gives
-    a source operation two images or an image outside the target; once
-    every generator has an image, the graph is the homomorphism.  Any
-    other source is searched member by member through every in-bound
-    composition.  Either way the homomorphisms come sorted by the tuple
-    of target positions of their images, source members in canonical
-    order.
+    Backtracking over the source members.  For a closed source that
+    contains the projections they come in :func:`_generated_order` and
+    the identities checked are those whose outer operation is a
+    generator; for any other source they come in canonical order and
+    every in-bound composition is checked.  Projections are pinned to
+    projections up front.  The identities are precomputed as triples
+    (outer, inners, result) and each is checked as soon as the last of
+    its participants receives an image, so contradictions prune the
+    search immediately.  A member that is the result of an identity
+    whose other participants all come before it has one candidate, the
+    image that identity forces, and none when that image is not in the
+    target.  Other members try every target operation of their arity.
     """
     if source.carrier != target.carrier and source.carrier.size != target.carrier.size:
         raise ValueError("fragments must live on carriers of one size")
     gens = _generators(source)
     if gens is None:
-        return _homs_by_compositions(source, target)
-    gens = sorted(gens, key=lambda g: g.arity)
-    size = source.carrier.size
-    levels = range(source.max_arity + 1)
-    packed: List[tuple] = []
-    results = []
-
-    def graph_or_none():
-        """The graph of the images assigned so far, arity by arity, or
-        None when it is not a map into the target."""
-        graph = {}
-        for m in levels:
-            graph[m] = _graph(packed, size, size, m, len(source.ops(m)),
-                              lambda f, g: target.member(m, g) is not None)
-            if graph[m] is None:
-                return None
-        return graph
-
-    def extend(j: int, graph):
-        if j == len(gens):
-            results.append(graph)
-            return
-        g = gens[j]
-        for image in target.ops(g.arity):
-            packed.append((g.arity, _pack(g.arity, g.table, image.table,
-                                          size, size)))
-            deeper = graph_or_none()
-            if deeper is not None:
-                extend(j + 1, deeper)
-            packed.pop()
-
-    root = graph_or_none()
-    if root is not None:
-        extend(0, root)
-    ordered = list(source.all_ops())
-    position = {(n, op.table): i for n in target.arities()
-                for i, op in enumerate(target.ops(n))}
-    results.sort(key=lambda graph: [position[n, graph[n][op.table]]
-                                    for n, op in ordered])
-    return [CloneHom(source, target,
-                     {op: target.member(n, graph[n][op.table])
-                      for n, op in ordered})
-            for graph in results]
-
-
-def _homs_by_compositions(source: CloneFragment,
-                          target: CloneFragment) -> List[CloneHom]:
-    """Every fragment homomorphism, by backtracking over the source
-    members in canonical order.
-
-    Projections are pinned to projections up front.  All in-bound
-    composition identities of the source are precomputed as triples
-    (outer, inners, result) and each is checked as soon as the last of its
-    participants receives an image, so contradictions prune the search
-    immediately.  Images are tried in canonical table order.
-    """
-    ordered = [op for _, op in source.all_ops()]
-    rank = {op: r for r, op in enumerate(ordered)}
+        ordered = outer = [op for _, op in source.all_ops()]
+    else:
+        ordered, outer = _generated_order(source, gens), gens
+    rank = {(op.arity, op.table): r for r, op in enumerate(ordered)}
     count = len(ordered)
 
     # pinned projection images; bail out early if the target lacks one
@@ -607,46 +524,49 @@ def _homs_by_compositions(source: CloneFragment,
                 e_t = projection(target.carrier, n, i)
                 if not target.contains(e_t):
                     return []
-                pinned[rank[e]] = e_t
+                pinned[rank[n, e.table]] = e_t
 
-    # composition triples, indexed by the latest participant rank
+    # composition triples, indexed by the latest participant rank; the
+    # first identity whose result comes after its other participants
+    # forces the image of that result
     fire_at: List[List[tuple]] = [[] for _ in range(count)]
-    for f, gs, m, table in composition_identities(source):
-        h = source.member(m, table)
-        if h is not None:
-            g_rs = tuple(rank[g] for g in gs)
-            fire_at[max(rank[f], rank[h], *g_rs)].append((rank[f], g_rs, rank[h], m))
+    forcing: Dict[int, tuple] = {}
+    for f, gs, m, table in composition_identities(source, outer):
+        h_r = rank.get((m, table))
+        if h_r is not None:
+            f_r, g_rs = rank[f.arity, f.table], tuple(rank[m, g.table] for g in gs)
+            fire_at[max(f_r, h_r, *g_rs)].append((f_r, g_rs, h_r, m))
+            if h_r > max((f_r, *g_rs)):
+                forcing.setdefault(h_r, (f_r, g_rs, m))
 
     size = target.carrier.size
-    comp_cache: Dict[tuple, tuple] = {}
-
-    def target_compose(f_img: FinOp, g_imgs, m: int):
-        key = (f_img.table, tuple(g.table for g in g_imgs), m)
-        if key not in comp_cache:
-            comp_cache[key] = compose_tables(key[0], key[1], size, m)
-        return comp_cache[key]
-
     assignment: List[Optional[FinOp]] = [None] * count
     results: List[CloneHom] = []
 
+    def composed_at(f_r: int, g_rs, m: int):
+        """The table of the images composed as in an identity."""
+        return compose_tables(assignment[f_r].table,
+                              [assignment[g].table for g in g_rs], size, m)
+
     def consistent_at(r: int) -> bool:
         for f_r, g_rs, h_r, m in fire_at[r]:
-            composed = target_compose(assignment[f_r],
-                                      [assignment[g] for g in g_rs], m)
-            if composed != assignment[h_r].table:
+            if composed_at(f_r, g_rs, m) != assignment[h_r].table:
                 return False
         return True
 
     def extend(r: int):
         if r == count:
-            mapping = {op: assignment[rank[op]] for op in ordered}
-            results.append(CloneHom(source, target, mapping))
+            results.append(CloneHom(source, target, {
+                op: assignment[rank[n, op.table]]
+                for n, op in source.all_ops()}))
             return
-        op = ordered[r]
         if r in pinned:
             candidates = (pinned[r],)
+        elif r in forcing:
+            image = target.member(ordered[r].arity, composed_at(*forcing[r]))
+            candidates = () if image is None else (image,)
         else:
-            candidates = target.ops(op.arity)
+            candidates = target.ops(ordered[r].arity)
         for cand in candidates:
             assignment[r] = cand
             if consistent_at(r):
@@ -654,6 +574,10 @@ def _homs_by_compositions(source: CloneFragment,
         assignment[r] = None
 
     extend(0)
+    position = {(n, op.table): i for n in target.arities()
+                for i, op in enumerate(target.ops(n))}
+    results.sort(key=lambda hom: [position[n, hom.mapping[op].table]
+                                  for n, op in source.all_ops()])
     return results
 
 

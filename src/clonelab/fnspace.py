@@ -303,9 +303,7 @@ def inverse_table(table):
     return tuple(inv)
 
 
-def close_tables(seeds, gens, size: int, m: int, cap: int,
-                 admit: Optional[Callable[[tuple], bool]] = None
-                 ) -> Optional[list]:
+def close_tables(seeds, gens, size: int, m: int, cap: int) -> list:
     """The m-ary tables generated from ``seeds`` by applying ``gens``.
 
     ``seeds`` are m-ary value tables and ``gens`` are ``(arity, table)``
@@ -317,15 +315,11 @@ def close_tables(seeds, gens, size: int, m: int, cap: int,
     tuple of found tables is composed exactly once, when its last-found
     member leaves the worklist, and the result is closed under every
     generator.  Raises :class:`BudgetExceeded` as soon as more than
-    ``cap`` tables are found.  When ``admit`` is given, each table is
-    passed to it as it is found, seeds first, and the closure returns
-    None as soon as it answers False.
+    ``cap`` tables are found.
     """
     found = list(dict.fromkeys(seeds))
     known = set(found)
     gens = list(dict.fromkeys(gens))
-    if admit is not None and not all(map(admit, found)):
-        return None
     overflow = f"closure exceeded {cap} tables at arity {m}"
     if len(found) > cap:
         raise BudgetExceeded(overflow)
@@ -339,8 +333,6 @@ def close_tables(seeds, gens, size: int, m: int, cap: int,
                 for gs in product(*pools):
                     h = compose_tables(g, gs, size, m)
                     if h not in known:
-                        if admit is not None and not admit(h):
-                            return None
                         known.add(h)
                         found.append(h)
                         if len(found) > cap:

@@ -24,6 +24,7 @@ assumed, by comparing the two independently computed map sets.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -178,17 +179,11 @@ class PartialIso:
 # map enumeration on finite structures
 # ---------------------------------------------------------------------------
 
-_PREFIX_TUPLES: Dict[Tuple[int, int], Tuple[tuple, ...]] = {}
-
-
+@cache
 def _prefix_tuples(d: int, arity: int) -> Tuple[tuple, ...]:
     """All tuples over {0..d} that mention d; the incremental batch of
     relation instances to check after assigning element d."""
-    key = (d, arity)
-    if key not in _PREFIX_TUPLES:
-        out = [t for t in product(range(d + 1), repeat=arity) if d in t]
-        _PREFIX_TUPLES[key] = tuple(out)
-    return _PREFIX_TUPLES[key]
+    return tuple(t for t in product(range(d + 1), repeat=arity) if d in t)
 
 
 def _enumerate_maps(a: RelStructure, b: RelStructure, injective: bool,

@@ -1,21 +1,26 @@
 """End-to-end tests of the command line interface.
 
-Every test drives ``main`` in process with an input document written to
-a temporary file and inspects the report envelope, the exit code, or
-both.
+Every test drives ``main`` with an input document written to a
+temporary file and inspects the report envelope, the exit code, or both.
+Most run it in process; one that could hang runs it as its own process
+under a timeout.
 """
 
 import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import pytest
 
 from clonelab import cli
 from clonelab.cli import main
-from clonelab.clone import _homs_by_compositions, fragment_from_json
+from clonelab.clone import fragment_from_json
 from clonelab.monoid import monoid_to_json
 from clonelab.structures import (
     complete_graph,
@@ -24,6 +29,7 @@ from clonelab.structures import (
     path_graph,
     structure_to_json,
 )
+from test_clone import homs_by_compositions
 
 S3_TABLES = [[0, 1, 2], [1, 0, 2], [2, 1, 0], [0, 2, 1], [1, 2, 0], [2, 0, 1]]
 ROTATIONS = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -309,6 +315,22 @@ def test_density_profile_finite(tmp_path, capsys):
     assert [p["verdict"] for p in profile] == ["dense-at-window", "gap-found"]
     assert [p["radius"] for p in profile] == [0, 1]
     assert [p["matched"] for p in profile] == [1, 0]
+
+
+def test_density_rejects_a_long_table_on_one_point(tmp_path):
+    """No arity fits two entries on one point; the arity search once
+    looped forever on it, so the CLI runs apart under a timeout."""
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps({"carrier": {"kind": "finite", "size": 1},
+                               "source": [[0, 0]], "targets": [[0]]}))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "clonelab.cli", "density",
+                           "--input", str(src)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["failures"] == [
+        "ValueError: table length 2 is not a power of 1"]
 
 
 def test_density_of_rational_automorphisms(tmp_path, capsys):
@@ -628,7 +650,7 @@ def test_enumerate_homs_falls_back_for_other_sources(tmp_path, capsys, ops):
     assert code == 0
     frag = fragment_from_json(source)
     expected = [[list(hom.image(op).table) for _, op in frag.all_ops()]
-                for hom in _homs_by_compositions(frag, frag)]
+                for hom in homs_by_compositions(frag, frag)]
     got = [[entry["to"] for entry in hom["mappings"]]
            for hom in report["results"]["homs"]]
     assert got == expected
