@@ -528,16 +528,18 @@ def enumerate_clone_homs(source: CloneFragment,
 
     # composition triples, indexed by the latest participant rank; the
     # first identity whose result comes after its other participants
-    # forces the image of that result
+    # forces the image of an unpinned result, which then satisfies it, so
+    # that identity is not checked again
     fire_at: List[List[tuple]] = [[] for _ in range(count)]
     forcing: Dict[int, tuple] = {}
     for f, gs, m, table in composition_identities(source, outer):
         h_r = rank.get((m, table))
         if h_r is not None:
             f_r, g_rs = rank[f.arity, f.table], tuple(rank[m, g.table] for g in gs)
-            fire_at[max(f_r, h_r, *g_rs)].append((f_r, g_rs, h_r, m))
-            if h_r > max((f_r, *g_rs)):
-                forcing.setdefault(h_r, (f_r, g_rs, m))
+            if h_r > max((f_r, *g_rs)) and h_r not in pinned and h_r not in forcing:
+                forcing[h_r] = (f_r, g_rs, m)
+            else:
+                fire_at[max(f_r, h_r, *g_rs)].append((f_r, g_rs, h_r, m))
 
     size = target.carrier.size
     assignment: List[Optional[FinOp]] = [None] * count

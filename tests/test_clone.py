@@ -622,7 +622,7 @@ ONE_NOT = (2, 1, ((0, (1,)), (1, (1, 0))), "generators")
 # lifting (position 2) goes to the identity: only the identity whose
 # outer operation is the nullary generator tells
 @example(spec=(2, 1, ((0, (1,)),), "generators"), wrong=(2, 0))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 def test_is_homomorphism_agrees_with_the_exhaustive_check(spec, wrong):
     frag = fragment_of(spec)
     mapping = {op: op for _, op in frag.all_ops()}
@@ -642,7 +642,7 @@ def test_is_homomorphism_agrees_with_the_exhaustive_check(spec, wrong):
 # the target lacks the binary constant 1, the image forced on it once not
 # and and go to themselves
 @example(specs=(NOT_AND, NOT_AND[:3] + ("open",)))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 def test_enumeration_agrees_with_the_exhaustive_search(specs):
     agrees_with_exhaustive_search(*map(fragment_of, specs))
 
