@@ -326,10 +326,14 @@ def conjugate_fragment(frag: CloneFragment, theta) -> CloneFragment:
     Projections are fixed by conjugation and compositions are preserved,
     so the flags carry over."""
     theta = as_bijection(theta, frag.carrier)
-    grouped = {
-        n: tuple(conjugate_op(theta, op) for op in frag.ops(n))
-        for n in frag.arities()
-    }
+    return _conjugate_of(frag, {op: conjugate_op(theta, op)
+                                for _, op in frag.all_ops()})
+
+
+def _conjugate_of(frag: CloneFragment, conjugates) -> CloneFragment:
+    """The fragment of the already computed conjugates of the members."""
+    grouped = {n: tuple(conjugates[op] for op in frag.ops(n))
+               for n in frag.arities()}
     return CloneFragment(frag.carrier, frag.max_arity, grouped,
                          contains_projections=frag.contains_projections,
                          closed_within_bound=frag.closed_within_bound)
@@ -402,7 +406,7 @@ class CloneHom:
         theta = as_bijection(theta, source.carrier)
         mapping = {op: conjugate_op(theta, op) for _, op in source.all_ops()}
         if target is None:
-            target = conjugate_fragment(source, theta)
+            target = _conjugate_of(source, mapping)
         return cls(source, target, mapping, mode="conjugation", theta=theta)
 
     def image(self, op: FinOp) -> FinOp:

@@ -25,7 +25,8 @@ assumed, by comparing the two independently computed map sets.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import UnsupportedLazyCarrier
@@ -186,41 +187,54 @@ def _prefix_tuples(d: int, arity: int) -> Tuple[tuple, ...]:
     return tuple(t for t in product(range(d + 1), repeat=arity) if d in t)
 
 
+def _lookup(rel, instance: tuple):
+    """(get, members) such that ``get(images) in members`` says whether
+    the instance, read through the image vector, is in the relation.
+    A one-index itemgetter returns the element itself, so a unary
+    relation is looked up as its set of elements."""
+    if len(instance) == 1:
+        return itemgetter(instance[0]), {x for (x,) in rel}
+    return itemgetter(*instance), rel
+
+
 def _enumerate_maps(a: RelStructure, b: RelStructure, injective: bool,
                     reflect: bool):
     """Backtracking generator of image vectors of structure maps A -> B,
-    assigning elements in their natural order."""
+    assigning elements in their natural order.
+
+    Nullary relations are checked once, before the search.  Then row d
+    holds the checks to make after assigning element d: one per relation
+    instance of A that mentions d and no later element, with the target
+    relation and whether the mapped instance must be in it.  Without
+    ``reflect`` only the instances in the source relation are checked.
+    """
     n = a.carrier.size
     m = b.carrier.size
-    rels = [(a.relations[name], b.relations[name], arity)
-            for name, arity in a.signature]
+    for name, arity in a.signature:
+        if arity == 0:
+            src, dst = () in a.relations[name], () in b.relations[name]
+            if (src != dst) if reflect else (src and not dst):
+                return
+    rows = [[(*_lookup(b.relations[name], t), t in a.relations[name])
+             for name, arity in a.signature
+             for t in _prefix_tuples(d, arity)
+             if reflect or t in a.relations[name]]
+            for d in range(n)]
     images: List[int] = []
 
     def extend(d: int):
         if d == n:
             yield tuple(images)
             return
+        row = rows[d]
         for candidate in range(m):
             if injective and candidate in images:
                 continue
             images.append(candidate)
-            ok = True
-            for ra, rb, arity in rels:
-                for t in _prefix_tuples(d, arity):
-                    src_in = t in ra
-                    if not src_in and not reflect:
-                        continue
-                    mapped = tuple(images[i] for i in t)
-                    dst_in = mapped in rb
-                    if src_in and not dst_in:
-                        ok = False
-                        break
-                    if reflect and dst_in and not src_in:
-                        ok = False
-                        break
-                if not ok:
+            for get, members, want in row:
+                if (get(images) in members) != want:
                     break
-            if ok:
+            else:
                 yield from extend(d + 1)
             images.pop()
 
@@ -335,37 +349,56 @@ def _negate(pred: Callable) -> Callable:
 def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
     """Decide homogeneity of a finite structure by exhaustion.
 
-    Every partial isomorphism between induced substructures is tested for
-    extension to a full automorphism, in increasing domain size, smallest
-    witness first.  For each domain the restrictions of all automorphisms
-    to it are collected into one set, so an image tuple extends exactly
-    when it is in that set; only images outside it are tested for being
-    a partial isomorphism (a restriction of an automorphism always is).
+    A partial isomorphism sends a tuple of distinct elements to one of
+    the same isomorphism type, and it extends to an automorphism exactly
+    when the two tuples lie in one automorphism orbit.  So each level
+    k = 1..n-1 labels every k-tuple of distinct elements with its type
+    (its (k-1)-prefix's type plus the membership of each relation
+    instance that mentions position k-1) and its orbit (the images of
+    each orbit representative under every automorphism).  Orbits lie
+    inside types, so the level passes when it has as many orbits as
+    types.  Otherwise the witness is the first domain in increasing
+    order, with the first image in lexicographic order, of the same type
+    and another orbit: the smallest non-extendable partial isomorphism.
     Returns (True, None) or (False, witness) where the witness is a
     non-extendable PartialIso.
     """
     _check_size(a, size_limit)
     n = a.carrier.size
     autos = list(_enumerate_maps(a, a, injective=True, reflect=True))
-    rels = [(a.relations[name], arity) for name, arity in a.signature]
+    # column x holds the image of x under every automorphism, so zipping
+    # a tuple's columns lists its orbit
+    columns = list(zip(*autos))
+    type_of: Dict[tuple, int] = {(): 0}
     for k in range(1, n):
+        checks = [_lookup(a.relations[name], t) for name, arity in a.signature
+                  for t in _prefix_tuples(k - 1, arity)]
+        codes: Dict[tuple, int] = {}
+        level: Dict[tuple, int] = {}
+        # extending each prefix by increasing x keeps the tuples in
+        # lexicographic order, the order images are tried in below
+        for prefix, code in type_of.items():
+            for x in range(n):
+                if x not in prefix:
+                    t = prefix + (x,)
+                    key = (code, tuple([get(t) in members
+                                        for get, members in checks]))
+                    level[t] = codes.setdefault(key, len(codes))
+        type_of = level
+        orbit_of: Dict[tuple, int] = {}
+        orbits = 0
+        for t in type_of:
+            if t not in orbit_of:
+                orbit_of.update(dict.fromkeys(zip(*[columns[x] for x in t]),
+                                              orbits))
+                orbits += 1
+        if orbits == len(codes):
+            continue
         for dom in combinations(range(n), k):
-            restrictions = {tuple(auto[d] for d in dom) for auto in autos}
-            for img in permutations(range(n), k):
-                if img in restrictions:
-                    continue
-                mapping = dict(zip(dom, img))
-                if _partial_iso_ok(rels, dom, mapping):
-                    return False, PartialIso(a, mapping.items())
+            for img, code in type_of.items():
+                if code == type_of[dom] and orbit_of[img] != orbit_of[dom]:
+                    return False, PartialIso(a, zip(dom, img))
     return True, None
-
-
-def _partial_iso_ok(rels, dom, mapping) -> bool:
-    for rel, arity in rels:
-        for t in product(dom, repeat=arity):
-            if (t in rel) != (tuple(mapping[x] for x in t) in rel):
-                return False
-    return True
 
 
 def is_loopless(a: RelStructure, sample_bound: int = 8) -> bool:

@@ -78,6 +78,23 @@ def brute_maps(a, b=None, injective=False, reflect=False):
     return found
 
 
+if HAVE_HYPOTHESIS:
+    def draw_subset(data, pool):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pool),
+                                  max_size=len(pool)))
+        return [x for x, k in zip(pool, keep) if k]
+
+    def draw_signature(data, arities):
+        picked = data.draw(st.lists(st.sampled_from(arities), min_size=1,
+                                    max_size=3))
+        return [(f"R{i}", arity) for i, arity in enumerate(picked)]
+
+    def draw_structure(data, n, signature):
+        return RelStructure(finite_carrier(n), signature, {
+            name: draw_subset(data, list(product(range(n), repeat=arity)))
+            for name, arity in signature})
+
+
 # ---------------------------------------------------------------------------
 # construction and basic queries
 # ---------------------------------------------------------------------------
@@ -210,6 +227,30 @@ def test_hom_set_requires_matching_signature():
         hom_set(path_graph(2), other)
 
 
+def test_nullary_relations_are_checked():
+    signature = [("P", 0), ("E", 2)]
+    a = RelStructure(finite_carrier(2), signature, {"P": [()], "E": []})
+    b = RelStructure(finite_carrier(2), signature, {"P": [], "E": []})
+    assert hom_set(a, b) == []
+    assert emb_set(a, b) == []
+    # without P in the source there is nothing to preserve, but an
+    # embedding must also reflect it
+    assert hom_set(b, a) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert emb_set(b, a) == []
+
+
+if HAVE_HYPOTHESIS:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_map_sets_match_brute_force_between_two_structures(data):
+        signature = draw_signature(data, [0, 1, 2, 3])
+        a = draw_structure(data, data.draw(st.integers(1, 3)), signature)
+        b = draw_structure(data, data.draw(st.integers(1, 3)), signature)
+        # same maps in the same order: candidates are tried ascending
+        assert hom_set(a, b) == brute_maps(a, b)
+        assert emb_set(a, b) == brute_maps(a, b, injective=True, reflect=True)
+
+
 def test_size_limit_guard():
     k8 = complete_graph(8)
     with pytest.raises(ValueError):
@@ -317,20 +358,24 @@ def test_default_bound_extremes_are_homogeneous():
     assert is_homogeneous(edgeless_graph(7)) == (True, None)
 
 
+def partial_iso_ok(a, mapping):
+    return all((t in a.relations[name])
+               == (tuple(mapping[x] for x in t) in a.relations[name])
+               for name, arity in a.signature
+               for t in product(mapping, repeat=arity))
+
+
 def scan_homogeneity(a):
     """Test every partial isomorphism against every automorphism, in the
     order the decision procedure promises (domain size, domain, image);
-    the slow reference the restriction lookup is compared against."""
+    the slow reference the orbit and type levels are compared against."""
     n = a.carrier.size
     autos = brute_maps(a, injective=True, reflect=True)
     for k in range(1, n):
         for dom in combinations(range(n), k):
             for img in permutations(range(n), k):
                 mapping = dict(zip(dom, img))
-                if any((t in a.relations[name])
-                       != (tuple(mapping[x] for x in t) in a.relations[name])
-                       for name, arity in a.signature
-                       for t in product(dom, repeat=arity)):
+                if not partial_iso_ok(a, mapping):
                     continue
                 if not any(all(auto[d] == mapping[d] for d in dom)
                            for auto in autos):
@@ -338,31 +383,78 @@ def scan_homogeneity(a):
     return True, None
 
 
-def assert_matches_scan(a):
+def lookup_homogeneity(a):
+    """The restriction lookup the orbit and type levels replaced: the
+    restrictions of all automorphisms to a domain form one set, and the
+    first image outside it that is a partial isomorphism is the witness.
+    Fast enough at 6 vertices, where the scan is not."""
+    n = a.carrier.size
+    autos = brute_maps(a, injective=True, reflect=True)
+    for k in range(1, n):
+        for dom in combinations(range(n), k):
+            restrictions = {tuple(auto[d] for d in dom) for auto in autos}
+            for img in permutations(range(n), k):
+                mapping = dict(zip(dom, img))
+                if img not in restrictions and partial_iso_ok(a, mapping):
+                    return False, tuple(sorted(mapping.items()))
+    return True, None
+
+
+def assert_matches(a, oracle):
     ok, witness = is_homogeneous(a)
-    assert (ok, witness.pairs if witness else None) == scan_homogeneity(a)
+    assert (ok, witness.pairs if witness else None) == oracle(a)
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(6), edgeless_graph(6), cycle_graph(6),
+    complete_multipartite([2, 2, 2]), complete_multipartite([3, 3]),
+    complete_multipartite([2, 3]),
+], ids=lambda g: g.name)
+def test_homogeneity_matches_lookup_on_named_graphs(g):
+    assert_matches(g, lookup_homogeneity)
 
 
 if HAVE_HYPOTHESIS:
-    def draw_subset(data, pool):
-        keep = data.draw(st.lists(st.booleans(), min_size=len(pool),
-                                  max_size=len(pool)))
-        return [x for x, k in zip(pool, keep) if k]
-
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_homogeneity_matches_scan_on_graphs(data):
         n = data.draw(st.integers(min_value=1, max_value=5))
         edges = draw_subset(data, list(combinations(range(n), 2)))
-        assert_matches_scan(graph_structure(n, edges))
+        assert_matches(graph_structure(n, edges), scan_homogeneity)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_homogeneity_matches_scan_on_digraphs_with_loops(data):
         n = data.draw(st.integers(min_value=1, max_value=4))
         pairs = draw_subset(data, list(product(range(n), repeat=2)))
-        assert_matches_scan(
-            RelStructure(finite_carrier(n), [("R", 2)], {"R": pairs}))
+        assert_matches(
+            RelStructure(finite_carrier(n), [("R", 2)], {"R": pairs}),
+            scan_homogeneity)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_homogeneity_matches_scan_on_mixed_signatures(data):
+        # every relation is closed under a drawn permutation, which is then
+        # an automorphism: random structures are mostly rigid, and their
+        # witnesses all have one-point domains
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        perm = data.draw(st.permutations(range(n)))
+        a = draw_structure(data, n, draw_signature(data, [1, 2, 3]))
+        closed = {}
+        for name, _ in a.signature:
+            closed[name] = set()
+            for t in a.relations[name]:
+                while t not in closed[name]:
+                    closed[name].add(t)
+                    t = tuple(perm[x] for x in t)
+        assert_matches(RelStructure(a.carrier, a.signature, closed),
+                       scan_homogeneity)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_homogeneity_matches_lookup_on_six_vertex_graphs(data):
+        edges = draw_subset(data, list(combinations(range(6), 2)))
+        assert_matches(graph_structure(6, edges), lookup_homogeneity)
 
 
 def test_partial_iso_validity():
