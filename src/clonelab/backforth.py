@@ -186,7 +186,11 @@ class _RadoBackForth:
 
 def _validated_seed(structure: RelStructure, pairs):
     """The seed as a dict and its inverse, or InvalidSeed if the pairs
-    are not a partial isomorphism."""
+    are not a partial isomorphism.
+
+    On the catalog's rational order a seed is one exactly when, sorted by
+    source, its images strictly increase; any other seed goes through the
+    pairwise scan, which names the first pair of pairs that disagree."""
     carrier = structure.carrier
     seed = {}
     images = {}
@@ -198,6 +202,10 @@ def _validated_seed(structure: RelStructure, pairs):
             raise InvalidSeed(f"{b} is hit by both {images[b]} and {a}")
         seed[a] = b
         images[b] = a
+    if carrier == RATIONALS and structure.name == "rationals-order":
+        ordered = [b for _, b in sorted(seed.items())]
+        if all(b < d for b, d in zip(ordered, ordered[1:])):
+            return seed, images
     items = list(seed.items())
     for i, (a, b) in enumerate(items):
         for c, d in items[i + 1:]:

@@ -197,29 +197,30 @@ def _lookup(rel, instance: tuple):
     return itemgetter(*instance), rel
 
 
-def _enumerate_maps(a: RelStructure, b: RelStructure, injective: bool,
-                    reflect: bool):
-    """Backtracking generator of image vectors of structure maps A -> B,
-    assigning elements in their natural order.
-
-    Nullary relations are checked once, before the search.  Then row d
-    holds the checks to make after assigning element d: one per relation
-    instance of A that mentions d and no later element, with the target
-    relation and whether the mapped instance must be in it.  Without
-    ``reflect`` only the instances in the source relation are checked.
-    """
-    n = a.carrier.size
-    m = b.carrier.size
-    for name, arity in a.signature:
-        if arity == 0:
-            src, dst = () in a.relations[name], () in b.relations[name]
-            if (src != dst) if reflect else (src and not dst):
-                return
-    rows = [[(*_lookup(b.relations[name], t), t in a.relations[name])
+def _map_rows(a: RelStructure, b: RelStructure, reflect: bool):
+    """Row d holds the checks to make after assigning element d of A: one
+    per relation instance of A that mentions d and no later element, with
+    the target relation and whether the mapped instance must be in it.
+    Without ``reflect`` only the instances in the source relation are
+    checked."""
+    return [[(*_lookup(b.relations[name], t), t in a.relations[name])
              for name, arity in a.signature
              for t in _prefix_tuples(d, arity)
              if reflect or t in a.relations[name]]
-            for d in range(n)]
+            for d in range(a.carrier.size)]
+
+
+def _search_maps(rows, m: int, injective: bool, pinned=None):
+    """Backtracking generator of the image vectors into range(m) that pass
+    ``rows`` (see :func:`_map_rows`), assigning elements in their natural
+    order.  ``pinned`` maps some elements to the one image each may take;
+    when injective, the other elements avoid those images."""
+    n = len(rows)
+    choices = [range(m)] * n
+    if pinned:
+        free = [c for c in range(m)
+                if not (injective and c in pinned.values())]
+        choices = [(pinned[d],) if d in pinned else free for d in range(n)]
     images: List[int] = []
 
     def extend(d: int):
@@ -227,7 +228,7 @@ def _enumerate_maps(a: RelStructure, b: RelStructure, injective: bool,
             yield tuple(images)
             return
         row = rows[d]
-        for candidate in range(m):
+        for candidate in choices[d]:
             if injective and candidate in images:
                 continue
             images.append(candidate)
@@ -239,6 +240,19 @@ def _enumerate_maps(a: RelStructure, b: RelStructure, injective: bool,
             images.pop()
 
     yield from extend(0)
+
+
+def _enumerate_maps(a: RelStructure, b: RelStructure, injective: bool,
+                    reflect: bool):
+    """Generator of image vectors of all structure maps A -> B.  Nullary
+    relations are checked once, before the search."""
+    for name, arity in a.signature:
+        if arity == 0:
+            src, dst = () in a.relations[name], () in b.relations[name]
+            if (src != dst) if reflect else (src and not dst):
+                return
+    yield from _search_maps(_map_rows(a, b, reflect), b.carrier.size,
+                            injective)
 
 
 def _check_size(a: RelStructure, size_limit: int):
@@ -347,58 +361,108 @@ def _negate(pred: Callable) -> Callable:
 # ---------------------------------------------------------------------------
 
 def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
-    """Decide homogeneity of a finite structure by exhaustion.
+    """Decide homogeneity of a finite structure by stabiliser search.
 
-    A partial isomorphism sends a tuple of distinct elements to one of
-    the same isomorphism type, and it extends to an automorphism exactly
-    when the two tuples lie in one automorphism orbit.  So each level
-    k = 1..n-1 labels every k-tuple of distinct elements with its type
-    (its (k-1)-prefix's type plus the membership of each relation
-    instance that mentions position k-1) and its orbit (the images of
-    each orbit representative under every automorphism).  Orbits lie
-    inside types, so the level passes when it has as many orbits as
-    types.  Otherwise the witness is the first domain in increasing
-    order, with the first image in lexicographic order, of the same type
-    and another orbit: the smallest non-extendable partial isomorphism.
-    Returns (True, None) or (False, witness) where the witness is a
-    non-extendable PartialIso.
+    A is homogeneous when, at each level k = 1..n-1, any two k-tuples of
+    distinct elements with one isomorphism type lie in one automorphism
+    orbit.  If that holds at level k-1, it holds at level k exactly when,
+    for one representative t of each type of (k-1)-tuple, the
+    automorphisms fixing t pointwise are transitive on every class of
+    elements x whose extensions t + (x,) share a type.  So the levels are
+    walked breadth first from the empty tuple.  At each representative t,
+    for each class, an automorphism fixing t and sending the class's first
+    element to a member is searched for, for each member not yet reached
+    from the first through the automorphisms found at t (the coset search
+    with orbit pruning of Sims and of McKay); t extended by each class's
+    first element represents the types of the next level.  A homogeneous
+    structure never lists its automorphism group.
+
+    When a search fails, its level is the first failing one, and the
+    witness comes from labelling that level (:func:`_smallest_witness`):
+    the smallest non-extendable partial isomorphism.  Returns
+    (True, None) or (False, witness).
     """
     _check_size(a, size_limit)
     n = a.carrier.size
-    autos = list(_enumerate_maps(a, a, injective=True, reflect=True))
-    # column x holds the image of x under every automorphism, so zipping
-    # a tuple's columns lists its orbit
-    columns = list(zip(*autos))
-    type_of: Dict[tuple, int] = {(): 0}
+    rows = _map_rows(a, a, reflect=True)
+    reps = [()]
     for k in range(1, n):
         checks = [_lookup(a.relations[name], t) for name, arity in a.signature
                   for t in _prefix_tuples(k - 1, arity)]
-        codes: Dict[tuple, int] = {}
-        level: Dict[tuple, int] = {}
-        # extending each prefix by increasing x keeps the tuples in
-        # lexicographic order, the order images are tried in below
-        for prefix, code in type_of.items():
+        next_reps = []
+        for t in reps:
+            classes: Dict[tuple, List[int]] = {}
             for x in range(n):
-                if x not in prefix:
-                    t = prefix + (x,)
-                    key = (code, tuple([get(t) in members
-                                        for get, members in checks]))
-                    level[t] = codes.setdefault(key, len(codes))
-        type_of = level
-        orbit_of: Dict[tuple, int] = {}
-        orbits = 0
-        for t in type_of:
-            if t not in orbit_of:
-                orbit_of.update(dict.fromkeys(zip(*[columns[x] for x in t]),
-                                              orbits))
-                orbits += 1
-        if orbits == len(codes):
-            continue
-        for dom in combinations(range(n), k):
-            for img, code in type_of.items():
-                if code == type_of[dom] and orbit_of[img] != orbit_of[dom]:
-                    return False, PartialIso(a, zip(dom, img))
+                if x not in t:
+                    u = t + (x,)
+                    classes.setdefault(tuple([get(u) in members
+                                              for get, members in checks]),
+                                       []).append(x)
+            fixed = dict(zip(t, t))
+            autos: List[tuple] = []
+            for first, *rest in classes.values():
+                reached = _orbit({first}, autos)
+                for x in rest:
+                    if x in reached:
+                        continue
+                    auto = next(_search_maps(rows, n, True,
+                                             {**fixed, first: x}), None)
+                    if auto is None:
+                        return False, _smallest_witness(a, k)
+                    autos.append(auto)
+                    reached = _orbit(reached, autos)
+                next_reps.append(t + (first,))
+        reps = next_reps
     return True, None
+
+
+def _orbit(points, autos) -> set:
+    """The closure of a set of elements under the image vectors
+    ``autos``."""
+    orbit = set(points)
+    frontier = list(orbit)
+    while frontier:
+        x = frontier.pop()
+        for auto in autos:
+            if auto[x] not in orbit:
+                orbit.add(auto[x])
+                frontier.append(auto[x])
+    return orbit
+
+
+def _smallest_witness(a: RelStructure, k: int) -> PartialIso:
+    """The first domain in increasing order, with the first image in
+    lexicographic order, of one isomorphism type and another automorphism
+    orbit, among the k-tuples of distinct elements; there must be one.
+
+    Every k-tuple is labelled with its type (the membership of each
+    relation instance over its positions) and its orbit (the images of
+    each orbit representative under every automorphism, read off
+    per-element columns of the listed automorphism group).
+    """
+    n = a.carrier.size
+    checks = [_lookup(a.relations[name], t) for d in range(k)
+              for name, arity in a.signature for t in _prefix_tuples(d, arity)]
+    # extending each tuple by increasing x keeps them in lexicographic order
+    tuples = [()]
+    for _ in range(k):
+        tuples = [t + (x,) for t in tuples for x in range(n) if x not in t]
+    codes: Dict[tuple, int] = {}
+    type_of = {t: codes.setdefault(tuple([get(t) in members
+                                          for get, members in checks]),
+                                   len(codes))
+               for t in tuples}
+    # column x holds the image of x under every automorphism, so zipping
+    # a tuple's columns lists its orbit
+    columns = list(zip(*_enumerate_maps(a, a, injective=True, reflect=True)))
+    orbit_of: Dict[tuple, tuple] = {}
+    for t in tuples:
+        if t not in orbit_of:
+            orbit_of.update(dict.fromkeys(zip(*[columns[x] for x in t]), t))
+    for dom in combinations(range(n), k):
+        for img in tuples:
+            if type_of[img] == type_of[dom] and orbit_of[img] != orbit_of[dom]:
+                return PartialIso(a, zip(dom, img))
 
 
 def is_loopless(a: RelStructure, sample_bound: int = 8) -> bool:

@@ -30,6 +30,7 @@ from clonelab.backforth import (
     noncommuting_witness,
     probe_stream,
     transitivity_witness,
+    _validated_seed,
 )
 from clonelab.structures import (
     path_graph,
@@ -40,7 +41,7 @@ from clonelab.structures import (
 from clonelab.topology import interpolant
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
     HAVE_HYPOTHESIS = True
 except ImportError:
@@ -114,7 +115,57 @@ def test_rationals_seed_validation():
     assert f(0) == 1
 
 
+def scan_seed(structure, pairs):
+    """The seed check by the definition: every two pairs agree on every
+    relation, both ways round; the reference the sort on the rational
+    order is compared against."""
+    carrier = structure.carrier
+    seed, images = {}, {}
+    for a, b in pairs:
+        a, b = carrier.canonical(a), carrier.canonical(b)
+        if seed.get(a, b) != b:
+            raise InvalidSeed(f"{a} is sent to both {seed[a]} and {b}")
+        if images.get(b, a) != a:
+            raise InvalidSeed(f"{b} is hit by both {images[b]} and {a}")
+        seed[a] = b
+        images[b] = a
+    items = list(seed.items())
+    for i, (a, b) in enumerate(items):
+        for c, d in items[i + 1:]:
+            for name, _ in structure.signature:
+                if (structure.related(name, a, c) != structure.related(name, b, d)
+                        or structure.related(name, c, a)
+                        != structure.related(name, d, b)):
+                    raise InvalidSeed(
+                        f"pairs ({a}, {b}) and ({c}, {d}) disagree on "
+                        f"relation {name}")
+    return seed, images
+
+
+def seed_verdict(check, pairs):
+    try:
+        return check(Q, pairs)
+    except InvalidSeed as exc:
+        return str(exc)
+
+
 if HAVE_HYPOTHESIS:
+    # a small pool makes repeated sources and images, and non-monotone
+    # seeds, common; ints and equal fractions meet as one element
+    seed_points = st.sampled_from([-2, Fraction(-1, 2), 0, Fraction(1, 3),
+                                   Fraction(1, 2), 1, Fraction(2, 2), 2])
+
+    @given(st.lists(st.tuples(seed_points, seed_points), min_size=1,
+                    max_size=6))
+    @settings(max_examples=400, deadline=None)
+    @example([(1, 2), (0, 0)])
+    @example([(0, 0), (1, -1)])
+    @example([(0, 2), (1, 2)])
+    @example([(0, 0), (1, 5), (2, 1), (3, 6)])
+    def test_rational_seed_check_matches_pairwise_scan(pairs):
+        assert seed_verdict(_validated_seed, pairs) == seed_verdict(scan_seed,
+                                                                    pairs)
+
     anchor_lists = st.lists(
         st.fractions(min_value=-30, max_value=30, max_denominator=12),
         min_size=1, max_size=5, unique=True)

@@ -13,6 +13,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from clonelab import structures
 from clonelab.errors import UnsupportedLazyCarrier
 from clonelab.fnspace import RADO, RATIONALS, finite_carrier, identity_op
 from clonelab.monoid import GroupSet, MonoidSet, invertibles
@@ -400,9 +401,46 @@ def lookup_homogeneity(a):
     return True, None
 
 
-def assert_matches(a, oracle):
+def label_homogeneity(a):
+    """The level labelling the stabiliser search replaced: at each level
+    every tuple of distinct elements gets its isomorphism type (its
+    prefix's type plus the instances that mention its last position) and
+    its orbit under the listed automorphism group, and a level passes when
+    it has as many orbits as types.  Fast at 7 vertices, and on mixed
+    signatures."""
+    n = a.carrier.size
+    columns = list(zip(*emb_set(a, a)))
+    type_of = {(): 0}
+    for k in range(1, n):
+        instances = [(name, t) for name, arity in a.signature
+                     for t in product(range(k), repeat=arity) if k - 1 in t]
+        codes = {}
+        level = {}
+        for prefix, code in type_of.items():
+            for x in range(n):
+                if x not in prefix:
+                    u = prefix + (x,)
+                    key = (code, tuple(tuple(u[i] for i in t) in a.relations[name]
+                                       for name, t in instances))
+                    level[u] = codes.setdefault(key, len(codes))
+        type_of = level
+        orbit_of = {}
+        for t in type_of:
+            if t not in orbit_of:
+                orbit_of.update(dict.fromkeys(zip(*[columns[x] for x in t]), t))
+        if len(set(orbit_of.values())) == len(codes):
+            continue
+        for dom in combinations(range(n), k):
+            for img, code in type_of.items():
+                if code == type_of[dom] and orbit_of[img] != orbit_of[dom]:
+                    return False, tuple(zip(dom, img))
+    return True, None
+
+
+def assert_matches(a, *oracles):
     ok, witness = is_homogeneous(a)
-    assert (ok, witness.pairs if witness else None) == oracle(a)
+    for oracle in oracles:
+        assert (ok, witness.pairs if witness else None) == oracle(a)
 
 
 @pytest.mark.parametrize("g", [
@@ -411,7 +449,54 @@ def assert_matches(a, oracle):
     complete_multipartite([2, 3]),
 ], ids=lambda g: g.name)
 def test_homogeneity_matches_lookup_on_named_graphs(g):
-    assert_matches(g, lookup_homogeneity)
+    assert_matches(g, lookup_homogeneity, label_homogeneity)
+
+
+@pytest.mark.parametrize("g", [
+    path_graph(7), complete_multipartite([3, 4]),
+    complete_multipartite([2, 2, 3]), complete_multipartite([1, 2, 2, 2]),
+], ids=lambda g: g.name)
+def test_homogeneity_matches_labelling_on_seven_vertex_graphs(g):
+    assert_matches(g, label_homogeneity)
+
+
+@pytest.mark.parametrize("n, distances", [
+    pytest.param(n, ds, id=f"{n}-{ds}") for n in range(3, 8)
+    for r in range(n // 2 + 1) for ds in combinations(range(1, n // 2 + 1), r)
+])
+def test_homogeneity_matches_labelling_on_circulant_graphs(n, distances):
+    # a graph on at most 7 vertices that is not vertex-transitive fails at
+    # level one; these are the vertex-transitive ones, including all on 6
+    # and 7 vertices, where the searches reach past level one
+    g = graph_structure(n, [(i, (i + d) % n) for i in range(n)
+                            for d in distances])
+    assert_matches(g, label_homogeneity)
+
+
+@pytest.mark.parametrize("g, searches", [
+    (complete_graph(7), 21),
+    (complete_multipartite([2, 2, 2]), 14),
+    (complete_multipartite([3, 3]), 19),
+], ids=lambda x: getattr(x, "name", None))
+def test_homogeneous_structures_never_list_automorphisms(g, searches,
+                                                         monkeypatch):
+    # each search is pinned (it fixes a representative and sends a class's
+    # first element to one member); an unpinned call would list Aut(A)
+    calls = []
+    search = structures._search_maps
+
+    def counting(rows, m, injective, pinned=None):
+        calls.append(pinned)
+        return search(rows, m, injective, pinned)
+
+    monkeypatch.setattr(structures, "_search_maps", counting)
+    assert is_homogeneous(g) == (True, None)
+    assert len(calls) == searches
+    assert all(calls)
+
+
+def test_stabiliser_search_reaches_past_the_default_bound():
+    assert is_homogeneous(complete_graph(10), size_limit=10) == (True, None)
 
 
 if HAVE_HYPOTHESIS:
@@ -420,7 +505,8 @@ if HAVE_HYPOTHESIS:
     def test_homogeneity_matches_scan_on_graphs(data):
         n = data.draw(st.integers(min_value=1, max_value=5))
         edges = draw_subset(data, list(combinations(range(n), 2)))
-        assert_matches(graph_structure(n, edges), scan_homogeneity)
+        assert_matches(graph_structure(n, edges), scan_homogeneity,
+                       label_homogeneity)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -429,7 +515,7 @@ if HAVE_HYPOTHESIS:
         pairs = draw_subset(data, list(product(range(n), repeat=2)))
         assert_matches(
             RelStructure(finite_carrier(n), [("R", 2)], {"R": pairs}),
-            scan_homogeneity)
+            scan_homogeneity, label_homogeneity)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -448,13 +534,14 @@ if HAVE_HYPOTHESIS:
                     closed[name].add(t)
                     t = tuple(perm[x] for x in t)
         assert_matches(RelStructure(a.carrier, a.signature, closed),
-                       scan_homogeneity)
+                       scan_homogeneity, label_homogeneity)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_homogeneity_matches_lookup_on_six_vertex_graphs(data):
         edges = draw_subset(data, list(combinations(range(6), 2)))
-        assert_matches(graph_structure(6, edges), lookup_homogeneity)
+        assert_matches(graph_structure(6, edges), lookup_homogeneity,
+                       label_homogeneity)
 
 
 def test_partial_iso_validity():
