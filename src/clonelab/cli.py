@@ -391,10 +391,13 @@ def cmd_injective_endos(ns) -> Tuple[dict, dict, list]:
     m = monoid_from_json(data["monoid"])
     fixed = []
     for entry in data.get("fixed", []):
-        if isinstance(entry, int):
+        if isinstance(entry, list):
+            fixed.append(make_op(m.carrier, 1, table=entry))
+        elif type(entry) is int and 0 <= entry < len(m.ops):
             fixed.append(m.ops[entry])
         else:
-            fixed.append(make_op(m.carrier, 1, table=entry))
+            raise ValueError(f"fixed entry {entry!r} is neither a table nor "
+                             f"a member index below {len(m.ops)}")
     report = endo_report(m, fixed)
     parameters = {"monoid_size": len(m.ops), "fixed": len(fixed)}
     return parameters, {"report": report}, []

@@ -98,10 +98,11 @@ def monoid_set(carrier: Carrier, ops: Iterable[FinOp],
     has_id: Optional[bool] = None
     if carrier.is_finite:
         has_id = identity_op(carrier) in members
-        if closed is None:
-            closed = _is_closed(carrier, members)
-        elif closed and not _is_closed(carrier, members):
-            raise ValueError("claimed closed_under_composition but it is not")
+        actual = _is_closed(carrier, members)
+        if closed is not None and closed != actual:
+            raise ValueError(f"claimed closed_under_composition={closed} "
+                             f"but it is {actual}")
+        closed = actual
     return MonoidSet(carrier, members, has_id, closed)
 
 

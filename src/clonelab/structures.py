@@ -25,7 +25,7 @@ assumed, by comparing the two independently computed map sets.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -374,13 +374,13 @@ def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
     element to a member is searched for, for each member not yet reached
     from the first through the automorphisms found at t (the coset search
     with orbit pruning of Sims and of McKay); t extended by each class's
-    first element represents the types of the next level.  A homogeneous
-    structure never lists its automorphism group.
+    first element represents the types of the next level.
 
     When a search fails, its level is the first failing one, and the
-    witness comes from labelling that level (:func:`_smallest_witness`):
-    the smallest non-extendable partial isomorphism.  Returns
-    (True, None) or (False, witness).
+    witness is the smallest partial isomorphism at that level that no
+    automorphism extends, found with the same pinned search
+    (:func:`_smallest_witness`).  So the automorphism group is never
+    listed.  Returns (True, None) or (False, witness).
     """
     _check_size(a, size_limit)
     n = a.carrier.size
@@ -408,7 +408,7 @@ def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
                     auto = next(_search_maps(rows, n, True,
                                              {**fixed, first: x}), None)
                     if auto is None:
-                        return False, _smallest_witness(a, k)
+                        return False, _smallest_witness(a, k, rows)
                     autos.append(auto)
                     reached = _orbit(reached, autos)
                 next_reps.append(t + (first,))
@@ -430,38 +430,24 @@ def _orbit(points, autos) -> set:
     return orbit
 
 
-def _smallest_witness(a: RelStructure, k: int) -> PartialIso:
+def _smallest_witness(a: RelStructure, k: int, rows) -> PartialIso:
     """The first domain in increasing order, with the first image in
     lexicographic order, of one isomorphism type and another automorphism
     orbit, among the k-tuples of distinct elements; there must be one.
 
-    Every k-tuple is labelled with its type (the membership of each
-    relation instance over its positions) and its orbit (the images of
-    each orbit representative under every automorphism, read off
-    per-element columns of the listed automorphism group).
+    Two such tuples have one type exactly when domain -> image is a
+    partial isomorphism, and one orbit exactly when some automorphism
+    extends it: when the pinned search over ``rows`` finds one.
     """
     n = a.carrier.size
     checks = [_lookup(a.relations[name], t) for d in range(k)
               for name, arity in a.signature for t in _prefix_tuples(d, arity)]
-    # extending each tuple by increasing x keeps them in lexicographic order
-    tuples = [()]
-    for _ in range(k):
-        tuples = [t + (x,) for t in tuples for x in range(n) if x not in t]
-    codes: Dict[tuple, int] = {}
-    type_of = {t: codes.setdefault(tuple([get(t) in members
-                                          for get, members in checks]),
-                                   len(codes))
-               for t in tuples}
-    # column x holds the image of x under every automorphism, so zipping
-    # a tuple's columns lists its orbit
-    columns = list(zip(*_enumerate_maps(a, a, injective=True, reflect=True)))
-    orbit_of: Dict[tuple, tuple] = {}
-    for t in tuples:
-        if t not in orbit_of:
-            orbit_of.update(dict.fromkeys(zip(*[columns[x] for x in t]), t))
     for dom in combinations(range(n), k):
-        for img in tuples:
-            if type_of[img] == type_of[dom] and orbit_of[img] != orbit_of[dom]:
+        kind = [get(dom) in members for get, members in checks]
+        for img in permutations(range(n), k):
+            if ([get(img) in members for get, members in checks] == kind
+                    and next(_search_maps(rows, n, True, dict(zip(dom, img))),
+                             None) is None):
                 return PartialIso(a, zip(dom, img))
 
 

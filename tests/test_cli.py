@@ -399,6 +399,21 @@ def test_injective_endos_of_z2(tmp_path, capsys):
     assert inner["maps"] == [[0, 1]]
 
 
+@pytest.mark.parametrize("entry", [5, -1, True])
+def test_injective_endos_rejects_a_bad_member_index(entry, tmp_path, capsys):
+    # 5 is past the end, -1 would wrap to the last member and True would
+    # read as member 1
+    payload = {
+        "monoid": {"carrier": {"kind": "finite", "size": 2},
+                   "ops": [[0, 1], [1, 0]]},
+        "fixed": [entry],
+    }
+    code, report = run_json(tmp_path, capsys, "injective-endos", payload)
+    assert code == 2
+    assert report["failures"][0].startswith(
+        f"ValueError: fixed entry {entry!r} ")
+
+
 def test_injective_endos_of_end_k4(tmp_path, capsys):
     payload = {"monoid": monoid_to_json(end_monoid(complete_graph(4))),
                "fixed": [[0, 1, 2, 3]]}

@@ -104,6 +104,10 @@ def test_closure_cap_boundary():
 def test_closure_flag_claim_is_verified():
     with pytest.raises(ValueError):
         monoid_set(B2, [NOT], closed=True)  # NOT o NOT = identity is missing
+    with pytest.raises(ValueError):
+        monoid_set(B2, [ID2, NOT], closed=False)  # it is closed
+    assert monoid_set(B2, [ID2, NOT], closed=True).closed_under_composition
+    assert monoid_set(B2, [NOT], closed=False).closed_under_composition is False
 
 
 def test_invertibles_of_full_unary_monoid():

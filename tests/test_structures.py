@@ -443,10 +443,24 @@ def assert_matches(a, *oracles):
         assert (ok, witness.pairs if witness else None) == oracle(a)
 
 
+# a 6-cycle with two opposite vertices marked and a nullary flag: the
+# marked pair is fixed setwise, so only the identity fixes vertex 1, and
+# the unmarked vertices 4 and 5, both not adjacent to it, have one type
+# over it but lie in two orbits.  Before that witness comes the image
+# (1, 2) of the domain (0, 1), which differs from it only in P at the
+# first position: a type that leaves out the instances over earlier
+# positions would give that image as the witness.
+MARKED_HEXAGON = RelStructure(
+    finite_carrier(6), [("P", 1), ("E", 2), ("F", 0)],
+    {"P": [(0,), (3,)], "F": [()],
+     "E": [(i, (i + d) % 6) for i in range(6) for d in (1, 5)]},
+    name="marked-hexagon")
+
+
 @pytest.mark.parametrize("g", [
     complete_graph(6), edgeless_graph(6), cycle_graph(6),
     complete_multipartite([2, 2, 2]), complete_multipartite([3, 3]),
-    complete_multipartite([2, 3]),
+    complete_multipartite([2, 3]), MARKED_HEXAGON,
 ], ids=lambda g: g.name)
 def test_homogeneity_matches_lookup_on_named_graphs(g):
     assert_matches(g, lookup_homogeneity, label_homogeneity)
@@ -473,15 +487,10 @@ def test_homogeneity_matches_labelling_on_circulant_graphs(n, distances):
     assert_matches(g, label_homogeneity)
 
 
-@pytest.mark.parametrize("g, searches", [
-    (complete_graph(7), 21),
-    (complete_multipartite([2, 2, 2]), 14),
-    (complete_multipartite([3, 3]), 19),
-], ids=lambda x: getattr(x, "name", None))
-def test_homogeneous_structures_never_list_automorphisms(g, searches,
-                                                         monkeypatch):
-    # each search is pinned (it fixes a representative and sends a class's
-    # first element to one member); an unpinned call would list Aut(A)
+@pytest.fixture
+def search_calls(monkeypatch):
+    """The ``pinned`` argument of every map search ``is_homogeneous``
+    makes; listing Aut(A) through ``_enumerate_maps`` raises."""
     calls = []
     search = structures._search_maps
 
@@ -489,10 +498,42 @@ def test_homogeneous_structures_never_list_automorphisms(g, searches,
         calls.append(pinned)
         return search(rows, m, injective, pinned)
 
+    def listing(*args):
+        raise AssertionError("the automorphism group was listed")
+
     monkeypatch.setattr(structures, "_search_maps", counting)
+    monkeypatch.setattr(structures, "_enumerate_maps", listing)
+    return calls
+
+
+@pytest.mark.parametrize("g, searches", [
+    (complete_graph(7), 21),
+    (complete_multipartite([2, 2, 2]), 14),
+    (complete_multipartite([3, 3]), 19),
+], ids=lambda x: getattr(x, "name", None))
+def test_homogeneous_structures_never_list_automorphisms(g, searches,
+                                                         search_calls):
+    # each search is pinned (it fixes a representative and sends a class's
+    # first element to one member); an unpinned call would list Aut(A)
     assert is_homogeneous(g) == (True, None)
-    assert len(calls) == searches
-    assert all(calls)
+    assert len(search_calls) == searches
+    assert all(search_calls)
+
+
+@pytest.mark.parametrize("g, searches, pairs", [
+    (cycle_graph(6), 18, ((0, 0), (2, 3))),
+    (cycle_graph(7), 20, ((0, 0), (2, 3))),
+    (path_graph(7), 3, ((0, 1),)),
+    (complete_multipartite([2, 3]), 5, ((0, 2),)),
+    (MARKED_HEXAGON, 32, ((1, 1), (4, 5))),
+], ids=lambda x: getattr(x, "name", None))
+def test_witnesses_come_from_pinned_searches(g, searches, pairs,
+                                             search_calls):
+    ok, witness = is_homogeneous(g)
+    assert (ok, witness.pairs) == (False, pairs)
+    assert witness.is_valid()
+    assert len(search_calls) == searches
+    assert all(search_calls)
 
 
 def test_stabiliser_search_reaches_past_the_default_bound():
