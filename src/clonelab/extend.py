@@ -5,7 +5,8 @@ group sitting densely inside an endomorphism monoid) extends to further
 operations one value at a time: to evaluate the image of f at a point,
 take any operation g from the domain that agrees with f on a small
 window, and read the image of g at that point instead.  The window that
-suffices is recorded by a continuity modulus; for conjugation by theta
+suffices is recorded by a continuity modulus, one per :class:`HomMap`,
+which every extension and audit below reads; for conjugation by theta
 the modulus at a point b is the single preimage theta^-1(b), since the
 conjugate's value at b depends on nothing else.
 
@@ -99,42 +100,35 @@ class HomMap:
             raise TypeError("the oracle must return an operation")
         return image
 
-    def _window_at(self, args: tuple, modulus) -> Window:
-        modulus = modulus or self.modulus
-        if modulus is None:
+    def _window_at(self, args: tuple) -> Window:
+        if self.modulus is None:
             raise ValueError(
                 "an oracle homomorphism needs a continuity modulus to "
                 "be extended; derive one or pass it explicitly")
-        return modulus(args)
+        return self.modulus(args)
 
-    def extend_at(self, f: FinOp, args, modulus: Optional[ContinuityModulus] = None,
-                  enlarge=()):
+    def extend_at(self, f: FinOp, args):
         """The extended image of f evaluated at one argument tuple.
 
-        An interpolant g for f on the modulus window (enlarged by the
-        optional extra points) is drawn from the source, and the image
-        of g supplies the value.
+        An interpolant g for f on the modulus window is drawn from the
+        source, and the image of g supplies the value.
         """
         if not isinstance(args, tuple):
             args = (args,)
         if len(args) != f.arity:
             raise ValueError(f"expected {f.arity} arguments, got {len(args)}")
-        win = self._window_at(args, modulus)
-        if enlarge:
-            win = win.union(enlarge)
-        g = interpolant(f, self.source, win)
+        g = interpolant(f, self.source, self._window_at(args))
         return self.apply(g)(*args)
 
-    def extended_op(self, f: FinOp,
-                    modulus: Optional[ContinuityModulus] = None) -> FinOp:
+    def extended_op(self, f: FinOp) -> FinOp:
         """The extended image of f as an operation, evaluated pointwise
         through the modulus; eager on finite carriers, lazy otherwise."""
         if self.carrier.is_finite:
-            table = [self.extend_at(f, args, modulus)
+            table = [self.extend_at(f, args)
                      for args in all_tuples(self.carrier.elements(), f.arity)]
             return make_op(self.carrier, f.arity, table=table)
         return make_op(self.carrier, f.arity,
-                       rule=lambda *args: self.extend_at(f, args, modulus))
+                       rule=lambda *args: self.extend_at(f, args))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +198,6 @@ def derive_modulus(hom: HomMap, args, ops: Optional[Sequence[FinOp]] = None,
 # ---------------------------------------------------------------------------
 
 def check_well_defined(hom: HomMap, f: FinOp, args,
-                       modulus: Optional[ContinuityModulus] = None,
                        extra_paths: int = 3) -> dict:
     """Evaluate the extension at one tuple along several interpolation
     windows and report whether every successful path agrees.
@@ -215,7 +208,7 @@ def check_well_defined(hom: HomMap, f: FinOp, args,
     """
     if not isinstance(args, tuple):
         args = (args,)
-    base = hom._window_at(args, modulus)
+    base = hom._window_at(args)
     probes = default_window(hom.carrier, 2 * extra_paths + 2).sorted_points()
     probes = [p for p in probes if p not in base]
     witnesses = []
@@ -240,24 +233,22 @@ def check_well_defined(hom: HomMap, f: FinOp, args,
     }
 
 
-def check_hom_law(hom: HomMap, f1: FinOp, f2: FinOp, points,
-                  modulus: Optional[ContinuityModulus] = None) -> dict:
+def check_hom_law(hom: HomMap, f1: FinOp, f2: FinOp, points) -> dict:
     """Compare the extension of a composite with the composite of
     extensions at sample points: both unary operations are extended and
     the two evaluation orders must give the same value."""
     composite = compose(f1, [f2])
     checks = []
     for b in points:
-        left = hom.extend_at(composite, (b,), modulus)
-        inner = hom.extend_at(f2, (b,), modulus)
-        right = hom.extend_at(f1, (inner,), modulus)
+        left = hom.extend_at(composite, (b,))
+        inner = hom.extend_at(f2, (b,))
+        right = hom.extend_at(f1, (inner,))
         checks.append({"point": b, "left": left, "right": right,
                        "agree": left == right})
     return {"agree": all(c["agree"] for c in checks), "checks": checks}
 
 
-def check_conjugation_transfer(hom: HomMap, f: FinOp, points,
-                               modulus: Optional[ContinuityModulus] = None) -> dict:
+def check_conjugation_transfer(hom: HomMap, f: FinOp, points) -> dict:
     """Compare the extension against direct conjugation at sample
     points; for a conjugation homomorphism the two must coincide
     exactly."""
@@ -268,7 +259,7 @@ def check_conjugation_transfer(hom: HomMap, f: FinOp, points,
     for args in points:
         if not isinstance(args, tuple):
             args = (args,)
-        via_extension = hom.extend_at(f, args, modulus)
+        via_extension = hom.extend_at(f, args)
         direct = hom.theta(f(*(hom.theta.inverse(b) for b in args)))
         checks.append({"point": args if len(args) > 1 else args[0],
                        "left": via_extension, "right": direct,

@@ -2,10 +2,9 @@
 
 The basic objects of the workbench live here.  A :class:`Carrier` is the
 underlying set an operation acts on.  Finite carriers are ``{0, ..., n-1}``;
-two lazily presented countable carriers are built in (the rationals as exact
+the two lazily presented countable carriers are the rationals as exact
 `fractions.Fraction` values and the natural numbers viewed as vertices of
-the bit-adjacency random graph), and custom lazy carriers can be supplied
-with an enumerator.
+the bit-adjacency random graph.
 
 A :class:`FinOp` is an operation of fixed finite arity on a carrier.  On a
 finite carrier it is stored extensionally as a value table in row-major
@@ -27,7 +26,7 @@ and every equality test is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Iterator, Optional
@@ -41,36 +40,27 @@ from .errors import BudgetExceeded, NotBijective, UnsupportedLazyCarrier
 FINITE = "finite"
 RATIONALS_KIND = "rationals"
 RADO_KIND = "rado"
-LAZY = "lazy"
 
 
 @dataclass(frozen=True)
 class Carrier:
     """The set an operation acts on.
 
-    ``kind`` is one of ``finite``, ``rationals``, ``rado`` or ``lazy``.
-    Finite carriers have elements 0..size-1.  The rationals carrier uses
+    ``kind`` is one of ``finite``, ``rationals`` or ``rado``.  Finite
+    carriers have elements 0..size-1.  The rationals carrier uses
     Fraction codes (ints are accepted and canonicalised).  The rado
-    carrier uses the natural numbers.  Custom lazy carriers carry a name
-    for identity and an enumerator mapping naturals injectively onto the
-    carrier.
+    carrier uses the natural numbers.
     """
 
     kind: str
     size: Optional[int] = None
-    name: Optional[str] = None
-    enumerator: Optional[Callable[[int], Any]] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
-        if self.kind not in (FINITE, RATIONALS_KIND, RADO_KIND, LAZY):
+        if self.kind not in (FINITE, RATIONALS_KIND, RADO_KIND):
             raise ValueError(f"unknown carrier kind {self.kind!r}")
         if self.kind == FINITE:
             if not isinstance(self.size, int) or self.size < 1:
                 raise ValueError("finite carrier needs a positive size")
-        if self.kind == LAZY and self.name is None:
-            raise ValueError("custom lazy carrier needs a name")
 
     @property
     def is_finite(self) -> bool:
@@ -92,13 +82,7 @@ class Carrier:
             return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.size
         if self.kind == RATIONALS_KIND:
             return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-        if self.kind == RADO_KIND:
-            return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-        if self.enumerator is not None:
-            # membership of custom lazy carriers is not decidable in
-            # general; accept anything the caller hands us
-            return True
-        return False
+        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
     def canonical(self, x: Any) -> Any:
         """Canonical code of an element (Fraction in lowest terms on the
@@ -118,10 +102,6 @@ class Carrier:
 
 def finite_carrier(size: int) -> Carrier:
     return Carrier(FINITE, size=size)
-
-
-def lazy_carrier(name: str, enumerator: Callable[[int], Any]) -> Carrier:
-    return Carrier(LAZY, name=name, enumerator=enumerator)
 
 
 RATIONALS = Carrier(RATIONALS_KIND)
@@ -421,10 +401,8 @@ def default_window(carrier: Carrier, k: int) -> Window:
         points = range(min(k + 1, carrier.size))
     elif carrier == RATIONALS:
         points = range(-k, k + 1)
-    elif carrier == RADO:
-        points = range(k + 1)
     else:
-        raise UnsupportedLazyCarrier("no canonical probe set for this carrier")
+        points = range(k + 1)
     return window(carrier, points)
 
 
@@ -559,9 +537,7 @@ def carrier_to_json(carrier: Carrier) -> dict:
         return {"kind": "finite", "size": carrier.size}
     if carrier.kind == RATIONALS_KIND:
         return {"kind": "rationals"}
-    if carrier.kind == RADO_KIND:
-        return {"kind": "rado"}
-    raise UnsupportedLazyCarrier("custom lazy carriers have no JSON form")
+    return {"kind": "rado"}
 
 
 def carrier_from_json(data: dict) -> Carrier:

@@ -451,17 +451,17 @@ def _smallest_witness(a: RelStructure, k: int, rows) -> PartialIso:
                 return PartialIso(a, zip(dom, img))
 
 
-def is_loopless(a: RelStructure, sample_bound: int = 8) -> bool:
+def is_loopless(a: RelStructure) -> bool:
     """Each relation holds on no diagonal tuple or on all of them.
 
     Finite structures are checked exhaustively.  Lazy structures are
-    probed on the diagonal over a sample of elements, so the answer is
+    probed on the diagonal over the radius-8 window, so the answer is
     window-verified only.
     """
     if a.is_finite:
         points = list(a.carrier.elements())
     else:
-        points = default_window(a.carrier, sample_bound).sorted_points()
+        points = default_window(a.carrier, 8).sorted_points()
     for rel_name, arity in a.signature:
         hits = [a.related(rel_name, *([x] * arity)) for x in points]
         if any(hits) and not all(hits):

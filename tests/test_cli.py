@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 from clonelab import cli
+from clonelab import clone as clone_module
 from clonelab.cli import main
-from clonelab.clone import fragment_from_json
+from clonelab.clone import close_fragment, fragment_from_json, fragment_to_json
+from clonelab.fnspace import finite_carrier, make_op
 from clonelab.monoid import monoid_to_json
 from clonelab.structures import (
     complete_graph,
@@ -670,3 +672,56 @@ def test_enumerate_homs_falls_back_for_other_sources(tmp_path, capsys, ops):
            for hom in report["results"]["homs"]]
     assert got == expected
     assert report["results"]["count"] == len(expected) > 0
+
+
+def test_verify_lifting_conjugates_each_member_once(tmp_path, capsys,
+                                                    monkeypatch):
+    """{not, and} at arity bound 2 has 20 members: 20 conjugates for the
+    mapping of the conjugation hom and 20 for the lifting check, of which
+    the 4 unary ones also decide the unary hypothesis."""
+    calls = []
+
+    def counted(theta, op):
+        calls.append(op)
+        return conjugate_op(theta, op)
+
+    conjugate_op = clone_module.conjugate_op
+    monkeypatch.setattr(clone_module, "conjugate_op", counted)
+    payload = {"source": {"carrier": FINITE2, "generators": [
+        {"arity": 1, "table": [1, 0]}, {"arity": 2, "table": [0, 0, 0, 1]}]},
+        "theta": [1, 0]}
+    code, report = run_json(tmp_path, capsys, "verify-lifting", payload,
+                            "--max-arity", "2")
+    assert code == 0
+    assert report["results"]["report"]["checked"] == 20
+    assert len(calls) == 40
+
+
+def not_and_listing_less_one_ternary():
+    """{not, and} at arity bound 3 as tables, less its last ternary
+    operation: not closed, so every member is an outer operation and
+    the homomorphism condition has about 4.23 * 10 ** 9 identities."""
+    b2 = finite_carrier(2)
+    frag = fragment_to_json(close_fragment(
+        [make_op(b2, 1, table=[1, 0]), make_op(b2, 2, table=[0, 0, 0, 1])],
+        max_arity=3))
+    frag["ops"]["3"].pop()
+    return frag
+
+
+@pytest.mark.parametrize("command", ["enumerate-homs", "verify-lifting"])
+def test_a_source_over_the_identity_budget_exits_2(tmp_path, command):
+    """Both once walked every identity for hours, so the CLI runs apart
+    under a timeout."""
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps({"source": not_and_listing_less_one_ternary(),
+                               "theta": [1, 0]}))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "clonelab.cli", command,
+                           "--input", str(src)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["failures"] == [
+        "BudgetExceeded: the homomorphism condition has 4230357277 "
+        "composition identities, more than the cap of 2000000"]
