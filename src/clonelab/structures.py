@@ -2,9 +2,10 @@
 structures.
 
 Finite structures are extensional (relation tuple sets over a finite
-carrier) and all map sets below are found by backtracking with incremental
-relation checks.  Two lazily presented structures are built in and
-addressed by catalog name:
+carrier, checked in bulk) and all map sets below are found by one
+backtracking loop with incremental relation checks from cached getter
+tables.  Two lazily presented structures are built in and addressed by
+catalog name:
 
 * ``rationals-order``: the rationals with their strict order, elements
   coded as exact fractions;
@@ -24,8 +25,8 @@ assumed, by comparing the two independently computed map sets.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations, permutations, product
+from functools import cache, lru_cache
+from itertools import chain, combinations, permutations, product
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -52,6 +53,10 @@ class RelStructure:
 
     Finite relations are frozensets of element tuples; lazy relations are
     decidable predicates.  ``name`` identifies catalog members.
+
+    A finite relation is read once; every given tuple is checked in bulk
+    (:meth:`Carrier.contains_all`), and one by one only to name the first
+    bad tuple.
     """
 
     __slots__ = ("carrier", "signature", "relations", "name")
@@ -71,15 +76,22 @@ class RelStructure:
                 normalised[rel_name] = rel
                 continue
             carrier.require_finite()
-            tuples = set()
-            for t in rel:
-                t = tuple(t)
-                if len(t) != arity:
-                    raise ValueError(f"tuple {t} has wrong arity for {rel_name}")
-                for x in t:
-                    if not carrier.contains(x):
-                        raise ValueError(f"element {x!r} outside carrier")
-                tuples.add(t)
+            tuples: List[tuple] = []
+            try:
+                tuples.extend(map(tuple, rel))
+                failure = None
+            except Exception as exc:  # raised once the tuples before it pass
+                failure = exc
+            if (failure or set(map(len, tuples)) - {arity}
+                    or not carrier.contains_all(list(chain.from_iterable(tuples)))):
+                for t in tuples:
+                    if len(t) != arity:
+                        raise ValueError(f"tuple {t} has wrong arity for {rel_name}")
+                    for x in t:
+                        if not carrier.contains(x):
+                            raise ValueError(f"element {x!r} outside carrier")
+                if failure:
+                    raise failure
             normalised[rel_name] = frozenset(tuples)
         self.relations = normalised
 
@@ -181,32 +193,29 @@ class PartialIso:
 # ---------------------------------------------------------------------------
 
 @cache
-def _prefix_tuples(d: int, arity: int) -> Tuple[tuple, ...]:
-    """All tuples over {0..d} that mention d; the incremental batch of
-    relation instances to check after assigning element d."""
-    return tuple(t for t in product(range(d + 1), repeat=arity) if d in t)
-
-
-def _lookup(rel, instance: tuple):
-    """(get, members) such that ``get(images) in members`` says whether
-    the instance, read through the image vector, is in the relation.
-    A one-index itemgetter returns the element itself, so a unary
-    relation is looked up as its set of elements."""
-    if len(instance) == 1:
-        return itemgetter(instance[0]), {x for (x,) in rel}
-    return itemgetter(*instance), rel
+def _getters(d: int, arity: int) -> Tuple[tuple, ...]:
+    """(instance, get) for each tuple over {0..d} that mentions d: the
+    relation instances to check after assigning element d.  ``get``
+    reads the instance through an image vector."""
+    return tuple((t, itemgetter(*t))
+                 for t in product(range(d + 1), repeat=arity) if d in t)
 
 
 def _map_rows(a: RelStructure, b: RelStructure, reflect: bool):
-    """Row d holds the checks to make after assigning element d of A: one
-    per relation instance of A that mentions d and no later element, with
-    the target relation and whether the mapped instance must be in it.
-    Without ``reflect`` only the instances in the source relation are
-    checked."""
-    return [[(*_lookup(b.relations[name], t), t in a.relations[name])
-             for name, arity in a.signature
-             for t in _prefix_tuples(d, arity)
-             if reflect or t in a.relations[name]]
+    """Row d holds the checks to make after assigning element d of A:
+    one ``(get, members, want)`` per relation instance of A that mentions
+    d and no later element, read from the cached :func:`_getters` table,
+    with B's members of the relation and whether the mapped instance must
+    be among them.  Without ``reflect`` only the instances in the source
+    relation are checked.  A one-index itemgetter returns the element
+    itself, so a unary relation is looked up as its set of elements."""
+    checked = [(a.relations[name], {x for (x,) in b.relations[name]}
+                if arity == 1 else b.relations[name], arity)
+               for name, arity in a.signature]
+    return [[(get, members, want)
+             for src, members, arity in checked
+             for t, get in _getters(d, arity)
+             if (want := t in src) or reflect]
             for d in range(a.carrier.size)]
 
 
@@ -214,7 +223,11 @@ def _search_maps(rows, m: int, injective: bool, pinned=None):
     """Backtracking generator of the image vectors into range(m) that pass
     ``rows`` (see :func:`_map_rows`), assigning elements in their natural
     order.  ``pinned`` maps some elements to the one image each may take;
-    when injective, the other elements avoid those images."""
+    when injective, the other elements avoid those images.
+
+    One loop over a stack holding, per element assigned or being
+    assigned, an iterator over its remaining candidates; the vectors come
+    in lexicographic order."""
     n = len(rows)
     choices = [range(m)] * n
     if pinned:
@@ -222,13 +235,11 @@ def _search_maps(rows, m: int, injective: bool, pinned=None):
                 if not (injective and c in pinned.values())]
         choices = [(pinned[d],) if d in pinned else free for d in range(n)]
     images: List[int] = []
-
-    def extend(d: int):
-        if d == n:
-            yield tuple(images)
-            return
+    stack = [iter(choices[0])]
+    while stack:
+        d = len(images)
         row = rows[d]
-        for candidate in choices[d]:
+        for candidate in stack[-1]:
             if injective and candidate in images:
                 continue
             images.append(candidate)
@@ -236,10 +247,15 @@ def _search_maps(rows, m: int, injective: bool, pinned=None):
                 if (get(images) in members) != want:
                     break
             else:
-                yield from extend(d + 1)
+                if d + 1 < n:
+                    stack.append(iter(choices[d + 1]))
+                    break
+                yield tuple(images)
             images.pop()
-
-    yield from extend(0)
+        else:
+            stack.pop()
+            if images:
+                images.pop()
 
 
 def _enumerate_maps(a: RelStructure, b: RelStructure, injective: bool,
@@ -324,7 +340,9 @@ def complement_expansion(a: RelStructure) -> RelStructure:
     Endomorphisms of the expansion preserve each relation and its
     complement (hence reflect the original) and preserve inequality
     (hence are injective), so they coincide with the embeddings of the
-    original structure.
+    original structure.  On a finite carrier each complement is a set
+    difference from the full product, and ``neq`` the pairs of distinct
+    elements (see :func:`_all_tuples`).
     """
     signature = list(a.signature)
     relations: Dict[str, object] = dict(a.relations)
@@ -337,19 +355,30 @@ def complement_expansion(a: RelStructure) -> RelStructure:
         if callable(rel):
             relations[co_name] = _negate(rel)
         else:
-            full = set(product(a.carrier.elements(), repeat=arity))
-            relations[co_name] = frozenset(full - set(rel))
+            relations[co_name] = _all_tuples(a.carrier.size, arity) - rel
     if any(n == "neq" for n, _ in signature):
         raise ValueError("name 'neq' already taken")
     signature.append(("neq", 2))
     if a.carrier.is_finite:
-        relations["neq"] = frozenset(
-            (x, y) for x in a.carrier.elements() for y in a.carrier.elements()
-            if x != y)
+        relations["neq"] = _all_tuples(a.carrier.size, 2, distinct=True)
     else:
         relations["neq"] = lambda x, y: x != y
     new_name = f"{a.name}+complements" if a.name else None
     return RelStructure(a.carrier, signature, relations, name=new_name)
+
+
+def _all_tuples(size: int, arity: int, distinct: bool = False) -> frozenset:
+    """All ``arity``-tuples over range(size), or those with distinct
+    entries; sets of at most 4,096 tuples come from a small cache."""
+    if size ** arity > 4096:
+        return _cached_tuples.__wrapped__(size, arity, distinct)
+    return _cached_tuples(size, arity, distinct)
+
+
+@lru_cache(maxsize=8)
+def _cached_tuples(size: int, arity: int, distinct: bool) -> frozenset:
+    return frozenset(permutations(range(size), arity) if distinct
+                     else product(range(size), repeat=arity))
 
 
 def _negate(pred: Callable) -> Callable:
@@ -387,8 +416,7 @@ def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
     rows = _map_rows(a, a, reflect=True)
     reps = [()]
     for k in range(1, n):
-        checks = [_lookup(a.relations[name], t) for name, arity in a.signature
-                  for t in _prefix_tuples(k - 1, arity)]
+        checks = rows[k - 1]
         next_reps = []
         for t in reps:
             classes: Dict[tuple, List[int]] = {}
@@ -396,7 +424,7 @@ def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
                 if x not in t:
                     u = t + (x,)
                     classes.setdefault(tuple([get(u) in members
-                                              for get, members in checks]),
+                                              for get, members, _ in checks]),
                                        []).append(x)
             fixed = dict(zip(t, t))
             autos: List[tuple] = []
@@ -440,12 +468,11 @@ def _smallest_witness(a: RelStructure, k: int, rows) -> PartialIso:
     extends it: when the pinned search over ``rows`` finds one.
     """
     n = a.carrier.size
-    checks = [_lookup(a.relations[name], t) for d in range(k)
-              for name, arity in a.signature for t in _prefix_tuples(d, arity)]
+    checks = [check for row in rows[:k] for check in row]
     for dom in combinations(range(n), k):
-        kind = [get(dom) in members for get, members in checks]
+        kind = [get(dom) in members for get, members, _ in checks]
         for img in permutations(range(n), k):
-            if ([get(img) in members for get, members in checks] == kind
+            if ([get(img) in members for get, members, _ in checks] == kind
                     and next(_search_maps(rows, n, True, dict(zip(dom, img))),
                              None) is None):
                 return PartialIso(a, zip(dom, img))

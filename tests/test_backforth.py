@@ -30,7 +30,8 @@ from clonelab.backforth import (
     noncommuting_witness,
     probe_stream,
     transitivity_witness,
-    _validated_seed,
+    _bit_positions,
+    _rational_anchors,
 )
 from clonelab.structures import (
     path_graph,
@@ -115,10 +116,10 @@ def test_rationals_seed_validation():
     assert f(0) == 1
 
 
-def scan_seed(structure, pairs):
+def scan_anchors(structure, pairs):
     """The seed check by the definition: every two pairs agree on every
     relation, both ways round; the reference the sort on the rational
-    order is compared against."""
+    order is compared against.  Returns the pairs sorted by source."""
     carrier = structure.carrier
     seed, images = {}, {}
     for a, b in pairs:
@@ -139,14 +140,14 @@ def scan_seed(structure, pairs):
                     raise InvalidSeed(
                         f"pairs ({a}, {b}) and ({c}, {d}) disagree on "
                         f"relation {name}")
-    return seed, images
+    return sorted(seed.items())
 
 
 def seed_verdict(check, pairs):
     try:
         return check(Q, pairs)
-    except InvalidSeed as exc:
-        return str(exc)
+    except (InvalidSeed, TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 if HAVE_HYPOTHESIS:
@@ -162,9 +163,13 @@ if HAVE_HYPOTHESIS:
     @example([(0, 0), (1, -1)])
     @example([(0, 2), (1, 2)])
     @example([(0, 0), (1, 5), (2, 1), (3, 6)])
+    @example([(1, 2), (Fraction(2, 2), 2), (0, 0)])
+    @example([(0, 0), (0, 1), (0.5, 1)])
+    @example([(0, 0), (0.5, 1)])
+    @example([(0, 0), (1, 2, 3)])
     def test_rational_seed_check_matches_pairwise_scan(pairs):
-        assert seed_verdict(_validated_seed, pairs) == seed_verdict(scan_seed,
-                                                                    pairs)
+        assert seed_verdict(_rational_anchors, pairs) == seed_verdict(
+            scan_anchors, pairs)
 
     anchor_lists = st.lists(
         st.fractions(min_value=-30, max_value=30, max_denominator=12),
@@ -270,6 +275,26 @@ def test_rado_witness_budget_is_honest():
     g = automorphism_from(R, [(0, huge), (1, 70000)])
     with pytest.raises(BudgetExceeded):
         g(3)
+
+
+def shifted_bit_positions(n):
+    """The set-bit positions found by shifting the value once per bit;
+    the reference for the one-pass scan."""
+    found, pos = [], 0
+    while n:
+        if n & 1:
+            found.append(pos)
+        n >>= 1
+        pos += 1
+    return found
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 255, 256, 2**64 - 1,
+                               (1 << 4000) | (1 << 17) | 1,
+                               int("10" * 1500, 2)],
+                         ids=lambda n: hex(n)[:12])
+def test_bit_positions_match_shifting(n):
+    assert list(_bit_positions(n)) == shifted_bit_positions(n)
 
 
 def test_rado_regression_mixed_query_sequence():

@@ -5,6 +5,7 @@ row-major order (leftmost argument most significant).  For example AND
 lists its values at (0,0), (0,1), (1,0), (1,1).
 """
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,70 @@ def test_table_length_must_match_arity():
 def test_table_values_must_be_in_carrier():
     with pytest.raises(ValueError):
         make_op(B2, 1, table=[0, 2])
+
+
+class Point(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+def checked_table(carrier, arity, table):
+    """The table check value by value; the reference the bulk check is
+    compared against."""
+    table = tuple(table)
+    expected = carrier.size ** arity
+    if len(table) != expected:
+        raise ValueError(
+            f"table has {len(table)} entries, expected {expected} "
+            f"(size {carrier.size}, arity {arity})")
+    for v in table:
+        if not carrier.contains(v):
+            raise ValueError(f"table value {v!r} outside carrier")
+    return table
+
+
+def assert_table_checked_as_before(size, arity, make):
+    """``make()`` gives a fresh copy of the table each call."""
+    carrier = finite_carrier(size)
+
+    def outcome(build):
+        try:
+            return repr(build())
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+    assert outcome(lambda: make_op(carrier, arity, table=make()).table) == \
+        outcome(lambda: checked_table(carrier, arity, make()))
+
+
+@pytest.mark.parametrize("table", [
+    [1, True], [0, 2], [0, -1], [Point.ONE, 0], [0, 1.0], [Fraction(1), 0],
+    [None, 5], [0, "1"], [0, 1, 2], 7,
+], ids=repr)
+def test_table_check_matches_the_value_loop(table):
+    assert_table_checked_as_before(2, 1, lambda: table)
+
+
+element_values = st.one_of(
+    st.integers(min_value=-2, max_value=5), st.booleans(),
+    st.sampled_from(list(Point)), st.sampled_from([0.0, 1.0, 2.5]),
+    st.fractions(min_value=-1, max_value=3, max_denominator=2),
+    st.none(), st.text(max_size=2))
+
+
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2), st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_check_matches_the_value_loop_on_random_input(size, arity,
+                                                             data):
+    # mostly tables of the right length, drawn from mostly valid values
+    length = data.draw(st.sampled_from([size ** arity] * 3 + [0, 2]))
+    table = data.draw(st.lists(
+        st.integers(min_value=0, max_value=size - 1) | element_values,
+        min_size=length, max_size=length))
+    one_shot = data.draw(st.booleans())
+    assert_table_checked_as_before(
+        size, arity, lambda: iter(table) if one_shot else list(table))
 
 
 def test_arity_must_be_non_negative():

@@ -8,15 +8,24 @@ and asserted as fixed numbers.
 """
 
 import json
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
 
 from clonelab import structures
+from clonelab.clone import close_fragment
 from clonelab.errors import UnsupportedLazyCarrier
-from clonelab.fnspace import RADO, RATIONALS, finite_carrier, identity_op
-from clonelab.monoid import GroupSet, MonoidSet, invertibles
+from clonelab.fnspace import (
+    RADO,
+    RATIONALS,
+    Carrier,
+    finite_carrier,
+    identity_op,
+    make_op,
+)
+from clonelab.monoid import GroupSet, MonoidSet, group_set, invertibles, monoid_set
 from clonelab.structures import (
     PartialIso,
     RelStructure,
@@ -108,6 +117,114 @@ def test_structure_validates_tuple_arity():
 def test_structure_validates_elements():
     with pytest.raises(ValueError):
         RelStructure(finite_carrier(2), [("R", 1)], {"R": [(5,)]})
+
+
+class Point(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+def checked_relation(carrier, arity, rel):
+    """The relation check element by element; the reference the bulk
+    check is compared against."""
+    tuples = set()
+    for t in rel:
+        t = tuple(t)
+        if len(t) != arity:
+            raise ValueError(f"tuple {t} has wrong arity for R")
+        for x in t:
+            if not carrier.contains(x):
+                raise ValueError(f"element {x!r} outside carrier")
+        tuples.add(t)
+    return frozenset(tuples)
+
+
+def outcome(build):
+    """What a build returns, shown with its element types, or the type
+    and message of what it raises."""
+    try:
+        return sorted(map(repr, build()))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_relation_checked_as_before(size, arity, make):
+    """``make()`` gives a fresh copy of the relation each call, so that
+    one-shot iterators are read once by each side."""
+    carrier = finite_carrier(size)
+    built = outcome(lambda: RelStructure(carrier, [("R", arity)],
+                                         {"R": make()}).relations["R"])
+    assert built == outcome(lambda: checked_relation(carrier, arity, make()))
+
+
+@pytest.mark.parametrize("rel", [
+    [(1, 0), (True, 0)],          # a bool equal to a member still raises
+    [(True, 0)],
+    [(0, 2)],                     # the carrier's size is outside it
+    [(0, -1)],
+    [(Point.ONE, 0), (1, 0)],     # int subclasses are elements
+    [(0, 1), (0, 1.0)],
+    [(0, 1), (Fraction(1), 0)],
+    [(0, 1), (0, 1, 0), (0, 5)],
+    [(0, 5), (0, 1, 0)],
+    [(0, 1), 7, (0, 5)],
+    [(0, 5), 7],
+    [(0, None), "ab"],
+    7,
+], ids=repr)
+def test_relation_check_matches_the_element_loop(rel):
+    assert_relation_checked_as_before(2, 2, lambda: rel)
+
+
+def test_relation_check_reads_one_shot_iterators_once():
+    assert_relation_checked_as_before(
+        3, 2, lambda: iter([iter([0, 1]), iter([2, 2]), iter([1, 3])]))
+    assert_relation_checked_as_before(
+        3, 2, lambda: (t for t in [(0, 1), (2, 1)]))
+
+
+if HAVE_HYPOTHESIS:
+    element_values = st.one_of(
+        st.integers(min_value=-2, max_value=5), st.booleans(),
+        st.sampled_from(list(Point)), st.sampled_from([0.0, 1.0, 2.5]),
+        st.fractions(min_value=-1, max_value=3, max_denominator=2),
+        st.none(), st.text(max_size=2))
+    # an item is a tuple, a list or a one-shot iterator of values, or a
+    # value that is not iterable at all
+    relation_items = st.one_of(
+        st.tuples(st.sampled_from([tuple, list, iter]),
+                  st.lists(element_values, max_size=4)),
+        st.tuples(st.just(None), st.integers() | st.none()))
+
+    def build_items(items):
+        return [form(values) if form else values for form, values in items]
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=3),
+           st.lists(relation_items, max_size=8), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_relation_check_matches_the_element_loop_on_random_input(
+            size, arity, items, one_shot):
+        assert_relation_checked_as_before(
+            size, arity, lambda: (iter if one_shot else list)(
+                build_items(items)))
+
+
+def test_valid_input_is_checked_in_bulk(monkeypatch):
+    # the element-by-element check runs only to name what is wrong
+    calls = []
+    contains = Carrier.contains
+
+    def counting(self, x):
+        calls.append(x)
+        return contains(self, x)
+
+    monkeypatch.setattr(Carrier, "contains", counting)
+    complement_expansion(complete_graph(7))
+    b2 = finite_carrier(2)
+    close_fragment([make_op(b2, 1, table=[1, 0]),
+                    make_op(b2, 2, table=[0, 0, 0, 1])], max_arity=2)
+    assert len(calls) == 0
 
 
 def test_structure_rejects_missing_relation():
@@ -269,6 +386,25 @@ def test_end_monoid_flags_are_accurate():
         for g in m.ops:
             composed = tuple(f(g(x)) for x in range(3))
             assert composed in tables
+
+
+def test_asserted_monoid_flags_are_the_computed_ones():
+    # end_monoid, emb_monoid and aut_group set closed_under_composition
+    # without composing; monoid_set and group_set compute both flags
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = graph_structure(n, [p for i, p in enumerate(pairs)
+                                    if mask >> i & 1])
+            for m, rebuild in ((end_monoid(g), monoid_set),
+                               (emb_monoid(g), monoid_set),
+                               (aut_group(g), group_set)):
+                computed = rebuild(g.carrier, m.ops)
+                assert type(computed) is type(m)
+                assert m.ops == computed.ops
+                assert (m.contains_identity, m.closed_under_composition) \
+                    == (computed.contains_identity,
+                        computed.closed_under_composition) == (True, True)
 
 
 def test_invertible_endos_are_the_automorphisms():
