@@ -185,28 +185,13 @@ class _RadoBackForth:
 # seed validation
 # ---------------------------------------------------------------------------
 
-def _rational_anchors(structure: RelStructure, pairs):
-    """The seed's canonical pairs sorted by source, or InvalidSeed.  On
-    the catalog's rational order, pairs whose sources and images both
-    strictly increase once sorted are a partial isomorphism; any other
-    seed takes :func:`_validated_seed`, which names the pairs that clash."""
-    pairs = list(pairs)
-    if structure.name == "rationals-order":
-        canonical = structure.carrier.canonical
-        try:
-            anchors = sorted((canonical(a), canonical(b)) for a, b in pairs)
-            if all(a < c and b < d
-                   for (a, b), (c, d) in zip(anchors, anchors[1:])):
-                return anchors
-        except (TypeError, ValueError):  # raised in order by _validated_seed
-            pass
-    return sorted(_validated_seed(structure, pairs)[0].items())
-
-
 def _validated_seed(structure: RelStructure, pairs):
     """The seed as a dict and its inverse, or InvalidSeed if the pairs
-    are not a partial isomorphism; the pairwise scan names the first pair
-    of pairs that disagree."""
+    are not a partial isomorphism.
+
+    On the catalog's rational order a seed is one exactly when, sorted by
+    source, its images strictly increase; any other seed goes through the
+    pairwise scan, which names the first pair of pairs that disagree."""
     carrier = structure.carrier
     seed = {}
     images = {}
@@ -218,6 +203,10 @@ def _validated_seed(structure: RelStructure, pairs):
             raise InvalidSeed(f"{b} is hit by both {images[b]} and {a}")
         seed[a] = b
         images[b] = a
+    if carrier == RATIONALS and structure.name == "rationals-order":
+        ordered = [b for _, b in sorted(seed.items())]
+        if all(b < d for b, d in zip(ordered, ordered[1:])):
+            return seed, images
     items = list(seed.items())
     for i, (a, b) in enumerate(items):
         for c, d in items[i + 1:]:
@@ -343,11 +332,12 @@ def automorphism_from(structure: RelStructure, pairs=(),
         raise UnsupportedLazyCarrier(
             "back-and-forth strategies are available for the catalog "
             "structures only")
+    seed, inverse = _validated_seed(structure, pairs)
     if structure.carrier == RATIONALS:
-        anchors = _rational_anchors(structure, pairs)
+        anchors = sorted(seed.items())
         impl = _PiecewiseLinear([a for a, _ in anchors], [b for _, b in anchors])
     else:
-        impl = _RadoBackForth(*_validated_seed(structure, pairs), scan_cap)
+        impl = _RadoBackForth(seed, inverse, scan_cap)
     return LazyAutomorphism(structure, impl)
 
 

@@ -84,15 +84,6 @@ class Carrier:
             return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
         return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
-    def contains_all(self, values) -> bool:
-        """Whether a finite carrier holds every entry of the sequence
-        ``values``: all are exact ints, the least and greatest in range.
-        Int subclasses pass :meth:`contains` but not this, so a caller
-        checks value by value before it rejects anything."""
-        return not values or (set(map(type, values)) == {int}
-                              and min(values) >= 0
-                              and max(values) < self.size)
-
     def canonical(self, x: Any) -> Any:
         """Canonical code of an element (Fraction in lowest terms on the
         rationals, the int itself elsewhere).  Raises on foreign values."""
@@ -186,10 +177,11 @@ class FinOp:
                     f"table has {len(table)} entries, expected {expected} "
                     f"(size {carrier.size}, arity {arity})"
                 )
-            if not carrier.contains_all(table):
-                for v in table:
-                    if not carrier.contains(v):
-                        raise ValueError(f"table value {v!r} outside carrier")
+            size = carrier.size
+            for v in table:
+                if ((type(v) is not int or not 0 <= v < size)
+                        and not carrier.contains(v)):
+                    raise ValueError(f"table value {v!r} outside carrier")
             self.table = table
         else:
             self.table = None

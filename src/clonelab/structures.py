@@ -2,10 +2,9 @@
 structures.
 
 Finite structures are extensional (relation tuple sets over a finite
-carrier, checked in bulk) and all map sets below are found by one
-backtracking loop with incremental relation checks from cached getter
-tables.  Two lazily presented structures are built in and addressed by
-catalog name:
+carrier) and all map sets below are found by one backtracking loop with
+incremental relation checks from cached getter tables.  Two lazily
+presented structures are built in and addressed by catalog name:
 
 * ``rationals-order``: the rationals with their strict order, elements
   coded as exact fractions;
@@ -26,7 +25,7 @@ assumed, by comparing the two independently computed map sets.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -54,9 +53,8 @@ class RelStructure:
     Finite relations are frozensets of element tuples; lazy relations are
     decidable predicates.  ``name`` identifies catalog members.
 
-    A finite relation is read once; every given tuple is checked in bulk
-    (:meth:`Carrier.contains_all`), and one by one only to name the first
-    bad tuple.
+    Every given tuple of a finite relation is checked; an exact int in
+    range passes without a call to :meth:`Carrier.contains`.
     """
 
     __slots__ = ("carrier", "signature", "relations", "name")
@@ -76,22 +74,17 @@ class RelStructure:
                 normalised[rel_name] = rel
                 continue
             carrier.require_finite()
-            tuples: List[tuple] = []
-            try:
-                tuples.extend(map(tuple, rel))
-                failure = None
-            except Exception as exc:  # raised once the tuples before it pass
-                failure = exc
-            if (failure or set(map(len, tuples)) - {arity}
-                    or not carrier.contains_all(list(chain.from_iterable(tuples)))):
-                for t in tuples:
-                    if len(t) != arity:
-                        raise ValueError(f"tuple {t} has wrong arity for {rel_name}")
-                    for x in t:
-                        if not carrier.contains(x):
-                            raise ValueError(f"element {x!r} outside carrier")
-                if failure:
-                    raise failure
+            size = carrier.size
+            tuples = set()
+            for t in rel:
+                t = tuple(t)
+                if len(t) != arity:
+                    raise ValueError(f"tuple {t} has wrong arity for {rel_name}")
+                for x in t:
+                    if ((type(x) is not int or not 0 <= x < size)
+                            and not carrier.contains(x)):
+                        raise ValueError(f"element {x!r} outside carrier")
+                tuples.add(t)
             normalised[rel_name] = frozenset(tuples)
         self.relations = normalised
 

@@ -5,7 +5,6 @@ row-major order (leftmost argument most significant).  For example AND
 lists its values at (0,0), (0,1), (1,0), (1,1).
 """
 
-from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -40,6 +39,8 @@ from clonelab.fnspace import (
     window_to_json,
 )
 
+from malformed_values import Point, element_values
+
 B2 = finite_carrier(2)
 
 # hand-computed truth tables on {0,1}
@@ -73,14 +74,9 @@ def test_table_values_must_be_in_carrier():
         make_op(B2, 1, table=[0, 2])
 
 
-class Point(IntEnum):
-    ZERO = 0
-    ONE = 1
-
-
 def checked_table(carrier, arity, table):
-    """The table check value by value; the reference the bulk check is
-    compared against."""
+    """The table check by :meth:`Carrier.contains` alone; the reference
+    the inline int check is compared against."""
     table = tuple(table)
     expected = carrier.size ** arity
     if len(table) != expected:
@@ -115,13 +111,6 @@ def test_table_check_matches_the_value_loop(table):
     assert_table_checked_as_before(2, 1, lambda: table)
 
 
-element_values = st.one_of(
-    st.integers(min_value=-2, max_value=5), st.booleans(),
-    st.sampled_from(list(Point)), st.sampled_from([0.0, 1.0, 2.5]),
-    st.fractions(min_value=-1, max_value=3, max_denominator=2),
-    st.none(), st.text(max_size=2))
-
-
 @given(st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=2), st.data())
 @settings(max_examples=300, deadline=None)
@@ -130,7 +119,7 @@ def test_table_check_matches_the_value_loop_on_random_input(size, arity,
     # mostly tables of the right length, drawn from mostly valid values
     length = data.draw(st.sampled_from([size ** arity] * 3 + [0, 2]))
     table = data.draw(st.lists(
-        st.integers(min_value=0, max_value=size - 1) | element_values,
+        st.integers(min_value=0, max_value=size - 1) | element_values(),
         min_size=length, max_size=length))
     one_shot = data.draw(st.booleans())
     assert_table_checked_as_before(
