@@ -27,6 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from operator import itemgetter
 from typing import Callable, Iterator, List, Optional
 
 from .errors import (
@@ -185,28 +186,32 @@ class _RadoBackForth:
 # seed validation
 # ---------------------------------------------------------------------------
 
-def _validated_seed(structure: RelStructure, pairs):
-    """The seed as a dict and its inverse, or InvalidSeed if the pairs
-    are not a partial isomorphism.
+def _validated_seed(structure: RelStructure, pairs) -> list:
+    """The seed's distinct pairs sorted by source, or InvalidSeed if the
+    pairs are not a partial isomorphism.
 
-    On the catalog's rational order a seed is one exactly when, sorted by
-    source, its images strictly increase; any other seed goes through the
-    pairwise scan, which names the first pair of pairs that disagree."""
+    On the catalog's rational order the canonical pairs are sorted once,
+    and a seed whose sources and images both strictly increase in that
+    order is one.  Any other seed goes through the dict loop and the
+    pairwise scan, which name the first conflict."""
     carrier = structure.carrier
+    canonical = carrier.canonical
+    if carrier == RATIONALS and structure.name == "rationals-order":
+        ordered = sorted([(canonical(a), canonical(b)) for a, b in pairs],
+                         key=itemgetter(0))
+        if all(a < c and b < d
+               for (a, b), (c, d) in zip(ordered, ordered[1:])):
+            return ordered
     seed = {}
     images = {}
     for a, b in pairs:
-        a, b = carrier.canonical(a), carrier.canonical(b)
+        a, b = canonical(a), canonical(b)
         if seed.get(a, b) != b:
             raise InvalidSeed(f"{a} is sent to both {seed[a]} and {b}")
         if images.get(b, a) != a:
             raise InvalidSeed(f"{b} is hit by both {images[b]} and {a}")
         seed[a] = b
         images[b] = a
-    if carrier == RATIONALS and structure.name == "rationals-order":
-        ordered = [b for _, b in sorted(seed.items())]
-        if all(b < d for b, d in zip(ordered, ordered[1:])):
-            return seed, images
     items = list(seed.items())
     for i, (a, b) in enumerate(items):
         for c, d in items[i + 1:]:
@@ -219,7 +224,7 @@ def _validated_seed(structure: RelStructure, pairs):
                     raise InvalidSeed(
                         f"pairs ({a}, {b}) and ({c}, {d}) disagree on "
                         f"relation {name}")
-    return seed, images
+    return sorted(items)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +337,12 @@ def automorphism_from(structure: RelStructure, pairs=(),
         raise UnsupportedLazyCarrier(
             "back-and-forth strategies are available for the catalog "
             "structures only")
-    seed, inverse = _validated_seed(structure, pairs)
+    anchors = _validated_seed(structure, pairs)
     if structure.carrier == RATIONALS:
-        anchors = sorted(seed.items())
         impl = _PiecewiseLinear([a for a, _ in anchors], [b for _, b in anchors])
     else:
-        impl = _RadoBackForth(seed, inverse, scan_cap)
+        impl = _RadoBackForth(dict(anchors), {b: a for a, b in anchors},
+                              scan_cap)
     return LazyAutomorphism(structure, impl)
 
 
@@ -350,7 +355,8 @@ def embedding_from(structure: RelStructure, pairs=(), avoid=(),
             "forward-only embeddings with avoidance are built on the "
             "bit-adjacency graph; on the rational order use "
             "automorphism_from, whose maps are embeddings already")
-    seed, inverse = _validated_seed(structure, pairs)
+    anchors = _validated_seed(structure, pairs)
+    seed, inverse = dict(anchors), {b: a for a, b in anchors}
     avoid = {structure.carrier.canonical(v) for v in avoid}
     clash = avoid & inverse.keys()
     if clash:

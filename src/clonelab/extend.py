@@ -19,7 +19,8 @@ actually examined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from itertools import islice
+from typing import Callable, Optional, Sequence
 
 from .errors import InterpolationFailure, ModulusNotFound
 from .fnspace import (
@@ -100,6 +101,27 @@ class HomMap:
             raise TypeError("the oracle must return an operation")
         return image
 
+    def image_at(self, g: FinOp, args: tuple):
+        """The image of a domain operation evaluated at one argument tuple.
+
+        For conjugation this is theta(g(theta^-1(b1), ...)) read at that
+        tuple alone, with the checks and errors the whole conjugate of
+        :meth:`apply` would give there; an oracle's image is built and
+        called."""
+        theta = self.theta
+        if theta is None:
+            return self.apply(g)(*args)
+        if len(args) != g.arity:
+            raise ValueError(f"expected {g.arity} arguments, got {len(args)}")
+        carrier = g.carrier
+        if carrier.is_finite:
+            for a in args:
+                if not carrier.contains(a):
+                    raise ValueError(f"argument {a!r} outside carrier")
+            return theta(g(*[theta.inverse(a) for a in args]))
+        preimages = [theta.inverse(carrier.canonical(b)) for b in args]
+        return carrier.canonical(theta(g(*preimages)))
+
     def _window_at(self, args: tuple) -> Window:
         if self.modulus is None:
             raise ValueError(
@@ -118,7 +140,7 @@ class HomMap:
         if len(args) != f.arity:
             raise ValueError(f"expected {f.arity} arguments, got {len(args)}")
         g = interpolant(f, self.source, self._window_at(args))
-        return self.apply(g)(*args)
+        return self.image_at(g, args)
 
     def extended_op(self, f: FinOp) -> FinOp:
         """The extended image of f as an operation, evaluated pointwise
@@ -161,7 +183,7 @@ def derive_modulus(hom: HomMap, args, ops: Optional[Sequence[FinOp]] = None,
     ops = list(ops)
     if not ops:
         raise ModulusNotFound("no operations to test the window against")
-    images = [hom.apply(g)(*args) for g in ops]
+    images = [hom.image_at(g, args) for g in ops]
 
     def works(win: Window) -> bool:
         classes = {}
@@ -206,25 +228,25 @@ def check_well_defined(hom: HomMap, f: FinOp, args,
     different interpolants may be chosen; failed interpolations are
     reported with a null value and do not count against consistency.
     """
+    if extra_paths < 0:
+        raise ValueError(f"extra_paths must be non-negative, got {extra_paths}")
     if not isinstance(args, tuple):
         args = (args,)
-    base = hom._window_at(args)
-    probes = default_window(hom.carrier, 2 * extra_paths + 2).sorted_points()
-    probes = [p for p in probes if p not in base]
+    base = win = hom._window_at(args)
+    points = default_window(hom.carrier, 2 * extra_paths + 2).sorted_points()
+    probes = list(islice((p for p in points if p not in base), extra_paths))
     witnesses = []
     values = []
-    extra: List = []
     for path in range(extra_paths + 1):
-        win = base.union(extra)
+        if 0 < path <= len(probes):
+            win = win.union([probes[path - 1]])
         try:
             g = interpolant(f, hom.source, win)
-            value = hom.apply(g)(*args)
+            value = hom.image_at(g, args)
             values.append(value)
         except InterpolationFailure:
             value = None
         witnesses.append({"window": win.sorted_points(), "value": value})
-        if path < extra_paths and probes:
-            extra.append(probes.pop(0))
     return {
         "value": values[0] if values else None,
         "paths": len(witnesses),

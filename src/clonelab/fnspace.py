@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Any, Callable, Iterator, Optional
 
@@ -88,6 +89,8 @@ class Carrier:
         """Canonical code of an element (Fraction in lowest terms on the
         rationals, the int itself elsewhere).  Raises on foreign values."""
         if self.kind == RATIONALS_KIND:
+            if type(x) is Fraction:
+                return x
             if isinstance(x, float):
                 raise TypeError("floats are not rational codes, use Fraction")
             if isinstance(x, int) and not isinstance(x, bool):
@@ -361,23 +364,31 @@ def compose(f: FinOp, gs, target_arity: Optional[int] = None) -> FinOp:
 @dataclass(frozen=True)
 class Window:
     """A finite subset J of a carrier.  Agreement on J^arity is the basic
-    entourage of the pointwise-convergence uniformity."""
+    entourage of the pointwise-convergence uniformity.
+
+    Windows are immutable, so the points are canonicalised and sorted
+    once, when the window is made."""
 
     carrier: Carrier
     points: frozenset
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "points",
-            frozenset(self.carrier.canonical(p) for p in self.points),
-        )
+        # a frozenset of canonical codes is kept as it is, so its points
+        # are not hashed a second time
+        points = self.points
+        canonical = self.carrier.canonical
+        if (type(points) is not frozenset
+                or any(canonical(p) is not p for p in points)):
+            points = frozenset(map(canonical, points))
+            object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_sorted", tuple(sorted(points)))
 
     def sorted_points(self) -> list:
-        return sorted(self.points)
+        return list(self._sorted)
 
     def sorted_tuples(self, arity: int) -> Iterator[tuple]:
         """All argument tuples over the window, in sorted row-major order."""
-        return product(self.sorted_points(), repeat=arity)
+        return product(self._sorted, repeat=arity)
 
     def union(self, extra) -> "Window":
         pts = set(self.points)
@@ -396,9 +407,11 @@ def window(carrier: Carrier, points) -> Window:
     return Window(carrier, frozenset(points))
 
 
+@lru_cache(maxsize=32)
 def default_window(carrier: Carrier, k: int) -> Window:
     """The canonical radius-k window: integers -k..k on the rationals,
-    0..k on the naturals, 0..min(k, size-1) on finite carriers."""
+    0..k on the naturals, 0..min(k, size-1) on finite carriers.  Windows
+    are immutable, so the 32 most recently used are kept and shared."""
     if carrier.is_finite:
         points = range(min(k + 1, carrier.size))
     elif carrier == RATIONALS:
@@ -418,8 +431,7 @@ def equal_on_window(f1: FinOp, f2: FinOp, win: Window) -> bool:
         raise ValueError("cannot compare operations of different arity")
     if f1.carrier != win.carrier or f2.carrier != win.carrier:
         raise ValueError("operations and window live on different carriers")
-    pts = win.sorted_points()
-    for args in all_tuples(pts, f1.arity):
+    for args in win.sorted_tuples(f1.arity):
         if f1(*args) != f2(*args):
             return False
     return True

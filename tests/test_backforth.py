@@ -119,7 +119,8 @@ def test_rationals_seed_validation():
 def scan_seed(structure, pairs):
     """The seed check by the definition: every two pairs agree on every
     relation, both ways round; the reference the sort on the rational
-    order is compared against."""
+    order is compared against.  Returns the distinct pairs sorted by
+    source."""
     carrier = structure.carrier
     seed, images = {}, {}
     for a, b in pairs:
@@ -140,7 +141,7 @@ def scan_seed(structure, pairs):
                     raise InvalidSeed(
                         f"pairs ({a}, {b}) and ({c}, {d}) disagree on "
                         f"relation {name}")
-    return seed, images
+    return sorted(items)
 
 
 def seed_verdict(check, pairs):

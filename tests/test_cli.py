@@ -285,15 +285,17 @@ def test_check_extension_oracle_ill_defined_fails(tmp_path, capsys):
     assert any("paths disagree" in f for f in report["failures"])
 
 
+RATIONAL_EXTENSION = {
+    "structure": "rationals-order",
+    "theta_seed": [["0", "1"]],
+    "target_seed": [["0", "0"], ["1", "2"]],
+    "points": ["0", "1"],
+}
+
+
 def test_check_extension_on_the_ordered_rationals(tmp_path, capsys):
-    payload = {
-        "structure": "rationals-order",
-        "theta_seed": [["0", "1"]],
-        "target_seed": [["0", "0"], ["1", "2"]],
-        "points": ["0", "1"],
-    }
-    code, report = run_json(tmp_path, capsys, "check-extension", payload,
-                            "--trials", "1")
+    code, report = run_json(tmp_path, capsys, "check-extension",
+                            RATIONAL_EXTENSION, "--trials", "1")
     assert code == 0
     results = report["results"]
     # theta is the unit shift, the target doubles on [0, 1]; conjugating
@@ -303,6 +305,17 @@ def test_check_extension_on_the_ordered_rationals(tmp_path, capsys):
     assert results["transfer"]["agree"] is True
     assert results["hom_law"]["agree"] is True
     assert all(w["consistent"] for w in results["well_defined"])
+
+
+def test_check_extension_rejects_negative_trials(tmp_path, capsys):
+    # no interpolation path at all is a bad input (exit 2), not a checked
+    # identity that failed (exit 1)
+    code, report = run_json(tmp_path, capsys, "check-extension",
+                            RATIONAL_EXTENSION, "--trials", "-1")
+    assert code == 2
+    assert report["results"] == {}
+    assert report["failures"] == [
+        "ValueError: extra_paths must be non-negative, got -1"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clonelab import backforth
 from clonelab.backforth import BackAndForthInterpolator, automorphism_from
 from clonelab.clone import close_fragment
 from clonelab.errors import ModulusNotFound
@@ -27,7 +30,10 @@ from clonelab.extend import (
 from clonelab.fnspace import (
     RATIONALS,
     Bijection,
+    Window,
+    all_tuples,
     conjugate_op,
+    default_window,
     finite_carrier,
     make_op,
     window,
@@ -150,6 +156,65 @@ def test_binary_extension_on_fragment_source():
 
 
 # ---------------------------------------------------------------------------
+# the image of a conjugation read at one point, against the whole conjugate
+# ---------------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        value = fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return value, type(value)
+
+
+def test_image_read_matches_the_conjugate_for_every_bijection_of_t3():
+    for theta in S3:
+        hom = HomMap(C3, T3, theta=theta)
+        for g in T3:
+            conjugate = hom.apply(g)
+            for b in (0, 1, 2, -1, 3, 1.5, True, "x"):
+                assert (outcome(hom.image_at, g, (b,))
+                        == outcome(conjugate, b)), (theta, g, b)
+            assert (outcome(hom.image_at, g, (0, 1))
+                    == outcome(conjugate, 0, 1))
+
+
+def test_image_read_matches_the_conjugate_on_a_binary_fragment():
+    low = make_op(C3, 2, table=[min(x, y) for x, y in product(range(3),
+                                                             repeat=2)])
+    frag = close_fragment([low], max_arity=2)
+    hom = HomMap(C3, frag, theta=THETA)
+    for arity, g in frag.all_ops():
+        conjugate = hom.apply(g)
+        for args in all_tuples(range(3), arity):
+            assert hom.image_at(g, args) == conjugate(*args)
+        assert (outcome(hom.image_at, g, (3,) * arity)
+                == outcome(conjugate, *(3,) * arity))
+
+
+anchor_lists = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=8),
+    max_size=4, unique=True)
+rational_points = st.one_of(
+    st.fractions(min_value=-30, max_value=30, max_denominator=10),
+    st.integers(min_value=-30, max_value=30))
+
+
+@given(anchor_lists, anchor_lists, anchor_lists, anchor_lists,
+       rational_points)
+@settings(max_examples=200, deadline=None)
+def test_image_read_matches_the_conjugate_on_the_rationals(xs, ys, us, vs, b):
+    theta = automorphism_from(Q, zip(sorted(xs), sorted(ys)))
+    g = automorphism_from(Q, zip(sorted(us), sorted(vs))).as_op()
+    hom = HomMap(RATIONALS, BackAndForthInterpolator(Q), theta=theta)
+    conjugate = hom.apply(g)
+    assert outcome(hom.image_at, g, (b,)) == outcome(conjugate, b)
+    for bad in (0.5, "x", True):
+        assert outcome(hom.image_at, g, (bad,)) == outcome(conjugate, bad)
+
+
+# ---------------------------------------------------------------------------
 # deriving moduli
 # ---------------------------------------------------------------------------
 
@@ -237,6 +302,36 @@ def test_pl_well_defined_across_interpolation_paths():
     windows = [w["window"] for w in report["witnesses"]]
     assert all(Fraction(1) in w for w in windows)
     assert len(windows[-1]) > len(windows[0])
+
+
+def test_well_defined_builds_each_window_and_sorts_each_seed_once(
+        monkeypatch):
+    # the counts, not the clock: the modulus window, the probe window on
+    # a cold cache and one window per extra path; one sort per
+    # interpolating seed
+    hom = pl_hom()
+    double = make_op(RATIONALS, 1, rule=lambda x: 2 * x)
+    built, sorts = [], []
+    post_init = Window.__post_init__
+
+    def counted_post_init(win):
+        built.append(win)
+        post_init(win)
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(Window, "__post_init__", counted_post_init)
+    monkeypatch.setattr(backforth, "sorted", counted_sorted, raising=False)
+    default_window.cache_clear()
+    report = check_well_defined(hom, double, (Fraction(2),), extra_paths=3)
+    assert report["consistent"] and report["paths"] == 4
+    assert (len(built), len(sorts)) == (5, 4)
+    built.clear()
+    sorts.clear()
+    check_well_defined(hom, double, (Fraction(2),), extra_paths=3)
+    assert (len(built), len(sorts)) == (4, 4)
 
 
 def test_pl_hom_law_values_by_hand():

@@ -68,6 +68,40 @@ def test_default_window_probe_sets():
     assert default_window(finite_carrier(3), 8).sorted_points() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("carrier, points", [
+    (RATIONALS, lambda k: range(-k, k + 1)),
+    (RADO, lambda k: range(k + 1)),
+    (finite_carrier(3), lambda k: range(min(k + 1, 3))),
+])
+def test_default_window_equals_a_fresh_window(carrier, points):
+    for k in range(6):
+        fresh = window(carrier, points(k))
+        for _ in range(2):
+            win = default_window(carrier, k)
+            assert win == fresh
+            assert win.sorted_points() == fresh.sorted_points()
+
+
+def test_sorted_points_leave_a_cached_window_unchanged():
+    win = default_window(RATIONALS, 2)
+    expected = [Fraction(k) for k in (-2, -1, 0, 1, 2)]
+    points = win.sorted_points()
+    points.reverse()
+    points.append(Fraction(9))
+    assert win.sorted_points() == expected
+    assert Fraction(9) not in win and len(win) == 5
+    assert default_window(RATIONALS, 2).sorted_points() == expected
+    assert list(win.sorted_tuples(1)) == [(p,) for p in expected]
+
+
+def test_default_window_cache_is_bounded():
+    bound = default_window.cache_info().maxsize
+    assert bound == 32
+    for k in range(3 * bound):
+        default_window(RADO, k)
+    assert default_window.cache_info().currsize == bound
+
+
 def test_window_chain_is_increasing():
     chain = window_chain(RATIONALS, 3)
     assert len(chain) == 4
