@@ -192,15 +192,20 @@ def _validated_seed(structure: RelStructure, pairs) -> list:
 
     On the catalog's rational order the canonical pairs are sorted once,
     and a seed whose sources and images both strictly increase in that
-    order is one.  Any other seed goes through the dict loop and the
-    pairwise scan, which name the first conflict."""
+    order is one.  Any other seed, or one holding a pair that is not two
+    rational codes, goes through the dict loop and the pairwise scan,
+    which raise at the first conflict or foreign value, in seed order."""
     carrier = structure.carrier
     canonical = carrier.canonical
+    pairs = list(pairs)
     if carrier == RATIONALS and structure.name == "rationals-order":
-        ordered = sorted([(canonical(a), canonical(b)) for a, b in pairs],
-                         key=itemgetter(0))
-        if all(a < c and b < d
-               for (a, b), (c, d) in zip(ordered, ordered[1:])):
+        try:
+            ordered = sorted([(canonical(a), canonical(b)) for a, b in pairs],
+                             key=itemgetter(0))
+        except (TypeError, ValueError):
+            ordered = ()
+        if ordered and all(a < c and b < d
+                           for (a, b), (c, d) in zip(ordered, ordered[1:])):
             return ordered
     seed = {}
     images = {}

@@ -591,6 +591,8 @@ def _error_envelope(command: str, exc: Exception) -> dict:
 def main(argv: Optional[List[str]] = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
+        if ns.trials < 0:
+            raise ValueError(f"--trials must be non-negative, got {ns.trials}")
         parameters, results, failures = HANDLERS[ns.command](ns)
     except (WorkbenchError, ValueError, KeyError, TypeError,
             OSError, json.JSONDecodeError) as exc:

@@ -30,6 +30,7 @@ from .fnspace import (
     all_tuples,
     as_bijection,
     compose,
+    conjugate_at,
     conjugate_op,
     default_window,
     make_op,
@@ -102,25 +103,12 @@ class HomMap:
         return image
 
     def image_at(self, g: FinOp, args: tuple):
-        """The image of a domain operation evaluated at one argument tuple.
-
-        For conjugation this is theta(g(theta^-1(b1), ...)) read at that
-        tuple alone, with the checks and errors the whole conjugate of
-        :meth:`apply` would give there; an oracle's image is built and
-        called."""
-        theta = self.theta
-        if theta is None:
+        """The image of a domain operation evaluated at one argument tuple:
+        for conjugation read there alone (:func:`conjugate_at`), for an
+        oracle built and called."""
+        if self.theta is None:
             return self.apply(g)(*args)
-        if len(args) != g.arity:
-            raise ValueError(f"expected {g.arity} arguments, got {len(args)}")
-        carrier = g.carrier
-        if carrier.is_finite:
-            for a in args:
-                if not carrier.contains(a):
-                    raise ValueError(f"argument {a!r} outside carrier")
-            return theta(g(*[theta.inverse(a) for a in args]))
-        preimages = [theta.inverse(carrier.canonical(b)) for b in args]
-        return carrier.canonical(theta(g(*preimages)))
+        return conjugate_at(self.theta, g, args)
 
     def _window_at(self, args: tuple) -> Window:
         if self.modulus is None:

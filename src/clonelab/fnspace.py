@@ -537,9 +537,25 @@ def conjugate_op(theta, op: FinOp) -> FinOp:
         return FinOp(carrier, op.arity, table=table)
 
     def conjugated(*ys):
-        return theta(op(*(theta.inverse(y) for y in ys)))
+        return conjugate_at(theta, op, ys)
 
     return FinOp(carrier, op.arity, rule=conjugated)
+
+
+def conjugate_at(theta: Bijection, op: FinOp, args: tuple):
+    """The value of conjugate_op(theta, op) at one argument tuple, read
+    without building the conjugate, with the checks and errors the whole
+    conjugate gives there."""
+    if len(args) != op.arity:
+        raise ValueError(f"expected {op.arity} arguments, got {len(args)}")
+    carrier = op.carrier
+    if carrier.is_finite:
+        for a in args:
+            if not carrier.contains(a):
+                raise ValueError(f"argument {a!r} outside carrier")
+        return theta(op(*[theta.inverse(a) for a in args]))
+    canonical = carrier.canonical
+    return canonical(theta(op(*[theta.inverse(canonical(b)) for b in args])))
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,19 @@ def test_rationals_seed_validation():
     # a repeated consistent pair is not a conflict
     f = automorphism_from(Q, [(0, 1), (0, 1)])
     assert f(0) == 1
+    # a one-shot iterator is read once, by whichever check runs
+    with pytest.raises(InvalidSeed, match="1 is sent to both"):
+        automorphism_from(Q, iter([(0, 1), (1, 0), (1, 2)]))
+    with pytest.raises(InvalidSeed, match="disagree on relation"):
+        automorphism_from(Q, iter([(0, 1), (1, 0)]))
+    f = automorphism_from(Q, iter([(0, 1), (0, 1)]))
+    assert (f(0), f(5)) == (1, 6)
+    # the first fault in seed order is reported, a conflict before a
+    # foreign value as well
+    with pytest.raises(InvalidSeed, match="0 is sent to both 0 and 1"):
+        automorphism_from(Q, [(0, 0), (0, 1), (0.5, 1)])
+    with pytest.raises(TypeError, match="floats are not rational codes"):
+        automorphism_from(Q, [(0.5, 1), (0, 0), (0, 1)])
 
 
 def scan_seed(structure, pairs):
@@ -147,15 +160,17 @@ def scan_seed(structure, pairs):
 def seed_verdict(check, pairs):
     try:
         return check(Q, pairs)
-    except InvalidSeed as exc:
-        return str(exc)
+    except (InvalidSeed, TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 if HAVE_HYPOTHESIS:
     # a small pool makes repeated sources and images, and non-monotone
-    # seeds, common; ints and equal fractions meet as one element
+    # seeds, common; ints and equal fractions meet as one element, and a
+    # float or a string is a foreign value the checks must meet in order
     seed_points = st.sampled_from([-2, Fraction(-1, 2), 0, Fraction(1, 3),
-                                   Fraction(1, 2), 1, Fraction(2, 2), 2])
+                                   Fraction(1, 2), 1, Fraction(2, 2), 2,
+                                   0.5, "1"])
 
     @given(st.lists(st.tuples(seed_points, seed_points), min_size=1,
                     max_size=6))
@@ -164,9 +179,12 @@ if HAVE_HYPOTHESIS:
     @example([(0, 0), (1, -1)])
     @example([(0, 2), (1, 2)])
     @example([(0, 0), (1, 5), (2, 1), (3, 6)])
+    @example([(0, 0), (0, 1), (0.5, 1)])
     def test_rational_seed_check_matches_pairwise_scan(pairs):
         assert seed_verdict(_validated_seed, pairs) == seed_verdict(scan_seed,
                                                                     pairs)
+        assert (seed_verdict(_validated_seed, iter(pairs))
+                == seed_verdict(scan_seed, pairs))
 
     anchor_lists = st.lists(
         st.fractions(min_value=-30, max_value=30, max_denominator=12),

@@ -308,14 +308,16 @@ def test_check_extension_on_the_ordered_rationals(tmp_path, capsys):
 
 
 def test_check_extension_rejects_negative_trials(tmp_path, capsys):
-    # no interpolation path at all is a bad input (exit 2), not a checked
-    # identity that failed (exit 1)
-    code, report = run_json(tmp_path, capsys, "check-extension",
-                            RATIONAL_EXTENSION, "--trials", "-1")
-    assert code == 2
-    assert report["results"] == {}
-    assert report["failures"] == [
-        "ValueError: extra_paths must be non-negative, got -1"]
+    # no interpolation path, or no sampled point, is a bad input (exit 2),
+    # not a checked identity that failed (exit 1) or held vacuously (exit 0)
+    sampled = {k: v for k, v in RATIONAL_EXTENSION.items() if k != "points"}
+    for payload in (RATIONAL_EXTENSION, sampled):
+        code, report = run_json(tmp_path, capsys, "check-extension", payload,
+                                "--trials", "-1")
+        assert code == 2
+        assert report["results"] == {}
+        assert report["failures"] == [
+            "ValueError: --trials must be non-negative, got -1"]
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,11 @@ def test_image_read_matches_the_conjugate_on_the_rationals(xs, ys, us, vs, b):
     g = automorphism_from(Q, zip(sorted(us), sorted(vs))).as_op()
     hom = HomMap(RATIONALS, BackAndForthInterpolator(Q), theta=theta)
     conjugate = hom.apply(g)
+    # the conjugate's lazy rule reads through the same function, so the
+    # value is also checked against the definition
+    value = hom.image_at(g, (b,))
+    assert type(value) is Fraction
+    assert value == theta(g(theta.inverse(Fraction(b))))
     assert outcome(hom.image_at, g, (b,)) == outcome(conjugate, b)
     for bad in (0.5, "x", True):
         assert outcome(hom.image_at, g, (bad,)) == outcome(conjugate, bad)
@@ -302,6 +307,12 @@ def test_pl_well_defined_across_interpolation_paths():
     windows = [w["window"] for w in report["witnesses"]]
     assert all(Fraction(1) in w for w in windows)
     assert len(windows[-1]) > len(windows[0])
+
+
+def test_well_defined_rejects_negative_extra_paths():
+    with pytest.raises(ValueError, match="extra_paths must be non-negative"):
+        check_well_defined(pl_hom(), pl_hom().theta.as_op(), (Fraction(0),),
+                           extra_paths=-1)
 
 
 def test_well_defined_builds_each_window_and_sorts_each_seed_once(
