@@ -4,7 +4,9 @@ structures, built by back-and-forth extension from a finite seed.
 On the rational order the map is the piecewise linear automorphism
 through the seed anchors: exact linear interpolation between consecutive
 anchors and slope one outside them.  It is a pure function of the seed,
-so query order never changes any value.
+so query order never changes any value.  The map is evaluated on integer
+(numerator, denominator) pairs: a point is placed among the anchors by
+cross-multiplication and each value off the anchors is one Fraction.
 
 On the bit-adjacency graph the map is built online.  Each new query is
 answered by the smallest fresh vertex whose adjacencies to the already
@@ -23,7 +25,6 @@ images of nothing.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -50,38 +51,73 @@ MAX_WITNESS_BITS = 1 << 16
 # piecewise linear maps on the rationals
 # ---------------------------------------------------------------------------
 
-def _pl_eval(xs, ys, x):
-    """Evaluate the piecewise linear map with anchors (xs, ys) at x; both
-    anchor lists are strictly increasing and exact."""
-    if not xs:
-        return x
-    i = bisect_left(xs, x)
-    if i < len(xs) and xs[i] == x:
-        return ys[i]
-    if i == 0:
-        return ys[0] + (x - xs[0])
-    if i == len(xs):
-        return ys[-1] + (x - xs[-1])
-    x0, x1 = xs[i - 1], xs[i]
-    y0, y1 = ys[i - 1], ys[i]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+def _strictly_increasing(values) -> bool:
+    """Whether canonical rational codes strictly increase, compared by
+    integer cross-multiplication (denominators are positive)."""
+    a = b = None
+    for v in values:
+        c, d = v.numerator, v.denominator
+        if b is not None and a * d >= c * b:
+            return False
+        a, b = c, d
+    return True
 
 
 class _PiecewiseLinear:
-    """Order automorphism of the rationals through fixed anchors."""
+    """Order automorphism of the rationals through fixed anchors,
+    evaluated on integer pairs.
 
-    __slots__ = ("xs", "ys")
+    Each anchor is stored once as a numerator and a denominator.  A point
+    is placed among the anchors by cross-multiplication; at an anchor the
+    stored image is returned, and anywhere else y0 + (x - x0)(y1 - y0) /
+    (x1 - x0), or slope one outside the anchors, is worked out in
+    integers and exactly one Fraction is built."""
+
+    __slots__ = ("xs", "ys", "_xn", "_xd", "_yn", "_yd")
     order_sensitive = False
 
     def __init__(self, xs, ys):
         self.xs = tuple(xs)
         self.ys = tuple(ys)
+        self._xn = [x.numerator for x in self.xs]
+        self._xd = [x.denominator for x in self.xs]
+        self._yn = [y.numerator for y in self.ys]
+        self._yd = [y.denominator for y in self.ys]
 
     def forward(self, x):
-        return _pl_eval(self.xs, self.ys, x)
+        xn, xd = self._xn, self._xd
+        n = len(xn)
+        if not n:
+            return x
+        p, q = x.numerator, x.denominator
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if xn[mid] * q < p * xd[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < n and xn[lo] == p and xd[lo] == q:
+            return self.ys[lo]
+        yn, yd = self._yn, self._yd
+        if lo == 0 or lo == n:
+            i = 0 if lo == 0 else n - 1
+            a, b, c, d = xn[i], xd[i], yn[i], yd[i]
+            return Fraction(c * q * b + d * (p * b - a * q), d * q * b)
+        a0, b0, c0, d0 = xn[lo - 1], xd[lo - 1], yn[lo - 1], yd[lo - 1]
+        a1, b1, c1, d1 = xn[lo], xd[lo], yn[lo], yd[lo]
+        dx = q * (a1 * b0 - a0 * b1)
+        return Fraction(c0 * d1 * dx
+                        + (p * b0 - a0 * q) * (c1 * d0 - c0 * d1) * b1,
+                        d0 * d1 * dx)
 
     def swapped(self) -> "_PiecewiseLinear":
-        return _PiecewiseLinear(self.ys, self.xs)
+        """The inverse map, over the same integer lists."""
+        inv = _PiecewiseLinear.__new__(_PiecewiseLinear)
+        inv.xs, inv.ys = self.ys, self.xs
+        inv._xn, inv._xd = self._yn, self._yd
+        inv._yn, inv._yd = self._xn, self._xd
+        return inv
 
     def known_pairs(self):
         return list(zip(self.xs, self.ys))
@@ -186,6 +222,10 @@ class _RadoBackForth:
 # seed validation
 # ---------------------------------------------------------------------------
 
+def _is_rational_order(structure: RelStructure) -> bool:
+    return structure.carrier == RATIONALS and structure.name == "rationals-order"
+
+
 def _validated_seed(structure: RelStructure, pairs) -> list:
     """The seed's distinct pairs sorted by source, or InvalidSeed if the
     pairs are not a partial isomorphism.
@@ -195,17 +235,16 @@ def _validated_seed(structure: RelStructure, pairs) -> list:
     order is one.  Any other seed, or one holding a pair that is not two
     rational codes, goes through the dict loop and the pairwise scan,
     which raise at the first conflict or foreign value, in seed order."""
-    carrier = structure.carrier
-    canonical = carrier.canonical
+    canonical = structure.carrier.canonical
     pairs = list(pairs)
-    if carrier == RATIONALS and structure.name == "rationals-order":
+    if _is_rational_order(structure):
         try:
             ordered = sorted([(canonical(a), canonical(b)) for a, b in pairs],
                              key=itemgetter(0))
         except (TypeError, ValueError):
             ordered = ()
-        if ordered and all(a < c and b < d
-                           for (a, b), (c, d) in zip(ordered, ordered[1:])):
+        if (ordered and _strictly_increasing(map(itemgetter(0), ordered))
+                and _strictly_increasing(map(itemgetter(1), ordered))):
             return ordered
     seed = {}
     images = {}
@@ -494,7 +533,16 @@ class BackAndForthInterpolator:
         if f.arity != 1:
             raise InterpolationFailure(
                 "automorphism interpolation handles unary targets only")
-        pairs = [(p, f(p)) for p in win.sorted_points()]
+        points = win.sorted_points()
+        images = [f(p) for p in points]
+        # a window's points are canonical, distinct and sorted, so on the
+        # rational order increasing images are a seed as they stand
+        if (_is_rational_order(self.structure)
+                and f.carrier == win.carrier == RATIONALS
+                and _strictly_increasing(images)):
+            return make_op(RATIONALS, 1,
+                           rule=_PiecewiseLinear(points, images).forward)
+        pairs = list(zip(points, images))
         try:
             aut = automorphism_from(self.structure, pairs, self.scan_cap)
         except InvalidSeed as exc:

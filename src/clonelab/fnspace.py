@@ -201,12 +201,11 @@ class FinOp:
                 if not self.carrier.contains(a):
                     raise ValueError(f"argument {a!r} outside carrier")
             return self.table[tuple_to_index(args, self.carrier.size)]
-        key = tuple(self.carrier.canonical(a) for a in args)
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        value = self.carrier.canonical(self.rule(*key))
-        memo[key] = value
+        key = tuple(map(self.carrier.canonical, args))
+        # a canonical code is never None: one probe tells a hit from a miss
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self.carrier.canonical(self.rule(*key))
         return value
 
     def __eq__(self, other):
@@ -590,10 +589,15 @@ def element_to_json(carrier: Carrier, x):
 
 def element_from_json(carrier: Carrier, data):
     if carrier.kind == RATIONALS_KIND:
+        # JSON true and false are not 1 and 0 here, as on every carrier,
+        # and a zero denominator is malformed input like any other
+        if isinstance(data, int) and not isinstance(data, bool):
+            return Fraction(data)
         if isinstance(data, str):
-            return Fraction(data)
-        if isinstance(data, int):
-            return Fraction(data)
+            try:
+                return Fraction(data)
+            except ZeroDivisionError:
+                pass
         raise ValueError(f"bad rational element JSON: {data!r}")
     if not isinstance(data, int):
         raise ValueError(f"bad element JSON: {data!r}")

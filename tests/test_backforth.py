@@ -7,6 +7,7 @@ fraction arithmetic.
 """
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -18,7 +19,14 @@ from clonelab.errors import (
     InvalidSeed,
     UnsupportedLazyCarrier,
 )
-from clonelab.fnspace import RADO, RATIONALS, default_window, equal_on_window, window
+from clonelab.fnspace import (
+    RADO,
+    RATIONALS,
+    default_window,
+    equal_on_window,
+    make_op,
+    window,
+)
 from clonelab.backforth import (
     BackAndForthInterpolator,
     LazyAutomorphism,
@@ -31,6 +39,7 @@ from clonelab.backforth import (
     probe_stream,
     transitivity_witness,
     _bit_positions,
+    _PiecewiseLinear,
     _validated_seed,
 )
 from clonelab.structures import (
@@ -129,6 +138,35 @@ def test_rationals_seed_validation():
         automorphism_from(Q, [(0.5, 1), (0, 0), (0, 1)])
 
 
+def pl_formula(xs, ys, x):
+    """The piecewise linear map through the sorted anchors (xs, ys) at x,
+    by Fraction arithmetic: the reference for the integer-pair kernel."""
+    if not xs:
+        return x
+    i = bisect_left(xs, x)
+    if i < len(xs) and xs[i] == x:
+        return ys[i]
+    if i == 0:
+        return ys[0] + (x - xs[0])
+    if i == len(xs):
+        return ys[-1] + (x - xs[-1])
+    x0, x1 = xs[i - 1], xs[i]
+    y0, y1 = ys[i - 1], ys[i]
+    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
+def test_pl_kernel_values_by_hand():
+    pl = _PiecewiseLinear([Fraction(-1, 2), Fraction(3)],
+                          [Fraction(-7, 3), Fraction(5, 4)])
+    # left of, at, between and right of the anchors
+    assert pl.forward(Fraction(-2)) == Fraction(-23, 6)
+    assert pl.forward(Fraction(3)) == Fraction(5, 4)
+    assert pl.forward(Fraction(1)) == Fraction(-67, 84)
+    assert pl.forward(Fraction(9, 2)) == Fraction(11, 4)
+    assert pl.swapped().forward(Fraction(-67, 84)) == 1
+    assert _PiecewiseLinear([], []).forward(Fraction(2, 3)) == Fraction(2, 3)
+
+
 def scan_seed(structure, pairs):
     """The seed check by the definition: every two pairs agree on every
     relation, both ways round; the reference the sort on the rational
@@ -202,6 +240,65 @@ if HAVE_HYPOTHESIS:
             assert f(p) < f(q)
         assert f.inverse(f(p)) == p
         assert f(f.inverse(q)) == q
+
+    rational_anchors = st.lists(
+        st.fractions(min_value=-60, max_value=60, max_denominator=50),
+        min_size=1, max_size=6, unique=True).map(sorted)
+
+    @given(rational_anchors, rational_anchors, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pl_kernel_matches_the_fraction_formula(xs, ys, data):
+        size = min(len(xs), len(ys))
+        xs, ys = xs[:size], ys[:size]
+        pl = _PiecewiseLinear(xs, ys)
+        inverse = pl.swapped()
+        # at an anchor, between it and the next, and outside on each side
+        i = data.draw(st.integers(0, size - 1))
+        t = data.draw(st.fractions(min_value=0, max_value=1,
+                                   max_denominator=50))
+        step = data.draw(st.fractions(min_value=0, max_value=80,
+                                      max_denominator=50))
+        points = [xs[i], xs[0] - step, xs[-1] + step]
+        if i + 1 < size:
+            points.append(xs[i] + t * (xs[i + 1] - xs[i]))
+        for x in points:
+            y = pl.forward(x)
+            assert type(y) is Fraction and y == pl_formula(xs, ys, x)
+            assert inverse.forward(y) == x
+            assert inverse.forward(x) == pl_formula(ys, xs, x)
+
+    window_values = st.fractions(min_value=-20, max_value=20,
+                                 max_denominator=12)
+
+    @given(st.lists(window_values, max_size=6, unique=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rational_interpolant_matches_the_seed_path(points, data):
+        images = data.draw(st.lists(window_values, min_size=len(points),
+                                    max_size=len(points)))
+        if data.draw(st.booleans()):
+            images.sort()
+        fresh = data.draw(st.lists(window_values, max_size=4))
+        mapping = dict(zip(map(Fraction, points), images))
+        target = make_op(RATIONALS, 1, rule=mapping.__getitem__)
+        win = window(RATIONALS, points)
+        pairs = [(p, mapping[p]) for p in win.sorted_points()]
+        increasing = all(a < b for (_, a), (_, b) in zip(pairs, pairs[1:]))
+        strategy = BackAndForthInterpolator(Q)
+        try:
+            expected = automorphism_from(Q, pairs).as_op()
+        except InvalidSeed as exc:
+            assert not increasing
+            with pytest.raises(InterpolationFailure) as info:
+                strategy.interpolant(target, win)
+            assert str(info.value) == (
+                f"the target is not a partial isomorphism on the window: "
+                f"{exc}")
+            assert repr(info.value.__cause__) == repr(exc)
+            return
+        assert increasing
+        got = strategy.interpolant(target, win)
+        for x in win.sorted_points() + fresh:
+            assert got(x) == expected(x)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +621,6 @@ def test_interpolator_recovers_automorphism_on_window():
 
 
 def test_interpolator_failure_cases():
-    from clonelab.fnspace import make_op
-
     reverse = make_op(RATIONALS, 1, rule=lambda x: -x)
     win = default_window(RATIONALS, 1)
     with pytest.raises(InterpolationFailure):
@@ -533,6 +628,16 @@ def test_interpolator_failure_cases():
     binary = make_op(RATIONALS, 2, rule=lambda x, y: x)
     with pytest.raises(InterpolationFailure):
         interpolant(binary, BackAndForthInterpolator(Q), win)
+
+
+def test_interpolator_failure_names_the_first_seed_fault():
+    square = make_op(RATIONALS, 1, rule=lambda x: x * x)
+    win = default_window(RATIONALS, 1)
+    with pytest.raises(InterpolationFailure) as info:
+        BackAndForthInterpolator(Q).interpolant(square, win)
+    assert str(info.value) == ("the target is not a partial isomorphism on "
+                               "the window: 1 is hit by both -1 and 1")
+    assert isinstance(info.value.__cause__, InvalidSeed)
 
 
 def test_interpolator_on_rado_window():

@@ -320,6 +320,25 @@ def test_check_extension_rejects_negative_trials(tmp_path, capsys):
             "ValueError: --trials must be non-negative, got -1"]
 
 
+@pytest.mark.parametrize("key", ["points", "theta_seed", "target_seed"])
+@pytest.mark.parametrize("bad", ["1/0", True, False])
+def test_check_extension_rejects_a_malformed_rational(tmp_path, capsys, key,
+                                                      bad):
+    # a zero denominator once escaped as a ZeroDivisionError traceback
+    # (exit 1), and JSON true and false were read as 1 and 0
+    payload = dict(RATIONAL_EXTENSION)
+    if key == "points":
+        payload["points"] = ["0", bad]
+    else:
+        payload[key] = payload[key] + [[bad, "5"]]
+    code, report = run_json(tmp_path, capsys, "check-extension", payload)
+    assert code == 2
+    assert report["command"] == "check-extension"
+    assert report["results"] == {}
+    assert report["failures"] == [
+        f"ValueError: bad rational element JSON: {bad!r}"]
+
+
 # ---------------------------------------------------------------------------
 # density, homogeneity, complements
 # ---------------------------------------------------------------------------

@@ -496,6 +496,15 @@ def test_element_json_uses_exact_fraction_strings():
     assert element_to_json(B2, 1) == 1
 
 
+@pytest.mark.parametrize("bad", ["1/0", "-3/0", True, False, 0.5, None])
+def test_rational_element_json_rejects_malformed_values(bad):
+    with pytest.raises(ValueError, match="bad rational element JSON"):
+        element_from_json(RATIONALS, bad)
+    with pytest.raises(ValueError, match="bad rational element JSON"):
+        window_from_json({"carrier": {"kind": "rationals"},
+                          "points": ["1/2", bad]})
+
+
 def test_window_json_round_trip():
     w = window(RATIONALS, [Fraction(-1), Fraction(1, 3)])
     again = window_from_json(window_to_json(w))
