@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedLazyCarrier,
 )
 from .fnspace import RADO, RATIONALS, Carrier, FinOp, make_op, element_to_json
-from .structures import RelStructure, rado_adjacency
+from .structures import RelStructure, catalog_name, rado_adjacency
 
 DEFAULT_SCAN_CAP = 4096
 
@@ -222,22 +222,20 @@ class _RadoBackForth:
 # seed validation
 # ---------------------------------------------------------------------------
 
-def _is_rational_order(structure: RelStructure) -> bool:
-    return structure.carrier == RATIONALS and structure.name == "rationals-order"
+def _seeded(structure: RelStructure, rational: bool, pairs, scan_cap: int):
+    """The state of the automorphism extending a seed of the rational
+    order (``rational``) or of the graph; InvalidSeed if the pairs are
+    not a partial isomorphism.
 
-
-def _validated_seed(structure: RelStructure, pairs) -> list:
-    """The seed's distinct pairs sorted by source, or InvalidSeed if the
-    pairs are not a partial isomorphism.
-
-    On the catalog's rational order the canonical pairs are sorted once,
-    and a seed whose sources and images both strictly increase in that
-    order is one.  Any other seed, or one holding a pair that is not two
-    rational codes, goes through the dict loop and the pairwise scan,
-    which raise at the first conflict or foreign value, in seed order."""
+    On the rational order a seed whose canonical pairs, sorted once,
+    strictly increase in sources and in images is one.  Any other seed
+    goes through the dict loop and the pairwise scan, which raise at the
+    first conflict or foreign value in seed order.  Sources and images
+    are then distinct, so for the order and the symmetric edge relation
+    one test per two pairs decides both ways round."""
     canonical = structure.carrier.canonical
     pairs = list(pairs)
-    if _is_rational_order(structure):
+    if rational:
         try:
             ordered = sorted([(canonical(a), canonical(b)) for a, b in pairs],
                              key=itemgetter(0))
@@ -245,7 +243,8 @@ def _validated_seed(structure: RelStructure, pairs) -> list:
             ordered = ()
         if (ordered and _strictly_increasing(map(itemgetter(0), ordered))
                 and _strictly_increasing(map(itemgetter(1), ordered))):
-            return ordered
+            return _PiecewiseLinear([a for a, _ in ordered],
+                                    [b for _, b in ordered])
     seed = {}
     images = {}
     for a, b in pairs:
@@ -256,19 +255,18 @@ def _validated_seed(structure: RelStructure, pairs) -> list:
             raise InvalidSeed(f"{b} is hit by both {images[b]} and {a}")
         seed[a] = b
         images[b] = a
+    (name, _), = structure.signature
     items = list(seed.items())
     for i, (a, b) in enumerate(items):
         for c, d in items[i + 1:]:
-            for name, _ in structure.signature:
-                if structure.related(name, a, c) != structure.related(name, b, d):
-                    raise InvalidSeed(
-                        f"pairs ({a}, {b}) and ({c}, {d}) disagree on "
-                        f"relation {name}")
-                if structure.related(name, c, a) != structure.related(name, d, b):
-                    raise InvalidSeed(
-                        f"pairs ({a}, {b}) and ({c}, {d}) disagree on "
-                        f"relation {name}")
-    return sorted(items)
+            if structure.related(name, a, c) != structure.related(name, b, d):
+                raise InvalidSeed(
+                    f"pairs ({a}, {b}) and ({c}, {d}) disagree on "
+                    f"relation {name}")
+    if rational:
+        xs = sorted(seed)
+        return _PiecewiseLinear(xs, [seed[x] for x in xs])
+    return _RadoBackForth(seed, images, scan_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +329,11 @@ class LazyEmbedding:
 
     __slots__ = ("structure", "_impl", "_avoid")
 
-    def __init__(self, structure: RelStructure, seed: dict, inverse: dict,
-                 avoid, scan_cap: int):
+    def __init__(self, structure: RelStructure, impl: _RadoBackForth, avoid):
         self.structure = structure
         self._avoid = frozenset(avoid)
-        taken = dict.fromkeys(self._avoid)
-        taken.update(inverse)
-        self._impl = _RadoBackForth(seed, taken, scan_cap)
+        impl.bwd.update(dict.fromkeys(self._avoid))
+        self._impl = impl
 
     def __call__(self, x):
         return self._impl.forward(self.structure.carrier.canonical(x))
@@ -377,35 +373,26 @@ def automorphism_from(structure: RelStructure, pairs=(),
                       scan_cap: int = DEFAULT_SCAN_CAP) -> LazyAutomorphism:
     """The canonical automorphism extending a finite partial isomorphism
     of a catalog structure; InvalidSeed if the pairs are not one."""
-    if structure.carrier not in (RATIONALS, RADO):
-        raise UnsupportedLazyCarrier(
-            "back-and-forth strategies are available for the catalog "
-            "structures only")
-    anchors = _validated_seed(structure, pairs)
-    if structure.carrier == RATIONALS:
-        impl = _PiecewiseLinear([a for a, _ in anchors], [b for _, b in anchors])
-    else:
-        impl = _RadoBackForth(dict(anchors), {b: a for a, b in anchors},
-                              scan_cap)
-    return LazyAutomorphism(structure, impl)
+    rational = catalog_name(structure) == "rationals-order"
+    return LazyAutomorphism(structure,
+                            _seeded(structure, rational, pairs, scan_cap))
 
 
 def embedding_from(structure: RelStructure, pairs=(), avoid=(),
                    scan_cap: int = DEFAULT_SCAN_CAP) -> LazyEmbedding:
     """A self-embedding of the bit-adjacency graph extending the seed,
     with image disjoint from ``avoid``."""
-    if structure.carrier != RADO:
+    if catalog_name(structure) != "rado":
         raise UnsupportedLazyCarrier(
             "forward-only embeddings with avoidance are built on the "
             "bit-adjacency graph; on the rational order use "
             "automorphism_from, whose maps are embeddings already")
-    anchors = _validated_seed(structure, pairs)
-    seed, inverse = dict(anchors), {b: a for a, b in anchors}
+    seeded = _seeded(structure, False, pairs, scan_cap)
     avoid = {structure.carrier.canonical(v) for v in avoid}
-    clash = avoid & inverse.keys()
+    clash = avoid & seeded.bwd.keys()
     if clash:
         raise InvalidSeed(f"seed images {sorted(clash)} lie in the avoid set")
-    return LazyEmbedding(structure, seed, inverse, avoid, scan_cap)
+    return LazyEmbedding(structure, seeded, avoid)
 
 
 # ---------------------------------------------------------------------------
@@ -487,21 +474,17 @@ def noncommuting_witness(structure: RelStructure, f: Callable,
     a finite search can certify.
     """
     stream = probe_stream(structure.carrier)
+    rational = catalog_name(structure) == "rationals-order"
     checked = 0
-    moved = None
-    for x in stream:
+    for x in stream:  # endless, so left only by the return or the break
         if checked >= probe_budget:
-            break
+            return NoncommutingReport(outcome="identity-on-probed-points",
+                                      probes_checked=checked)
         checked += 1
         if f(x) != x:
-            moved = x
             break
-    if moved is None:
-        return NoncommutingReport(outcome="identity-on-probed-points",
-                                  probes_checked=checked)
-    x = moved
     fx = f(x)
-    if structure.carrier == RATIONALS:
+    if rational:
         z = (x + fx) / 2
     else:
         want = rado_adjacency(x, fx)
@@ -522,10 +505,11 @@ class BackAndForthInterpolator:
     """Interpolates unary targets by automorphisms: the target restricted
     to the window becomes a seed, and the seed's canonical extension is
     the interpolant.  Fails exactly when the restriction is not a
-    partial isomorphism."""
+    partial isomorphism.  The structure must be a catalog structure."""
 
     def __init__(self, structure: RelStructure,
                  scan_cap: int = DEFAULT_SCAN_CAP):
+        self._rational = catalog_name(structure) == "rationals-order"
         self.structure = structure
         self.scan_cap = scan_cap
 
@@ -537,16 +521,16 @@ class BackAndForthInterpolator:
         images = [f(p) for p in points]
         # a window's points are canonical, distinct and sorted, so on the
         # rational order increasing images are a seed as they stand
-        if (_is_rational_order(self.structure)
+        if (self._rational
                 and f.carrier == win.carrier == RATIONALS
                 and _strictly_increasing(images)):
             return make_op(RATIONALS, 1,
                            rule=_PiecewiseLinear(points, images).forward)
-        pairs = list(zip(points, images))
         try:
-            aut = automorphism_from(self.structure, pairs, self.scan_cap)
+            seeded = _seeded(self.structure, self._rational,
+                             zip(points, images), self.scan_cap)
         except InvalidSeed as exc:
             raise InterpolationFailure(
                 f"the target is not a partial isomorphism on the window: "
                 f"{exc}") from exc
-        return aut.as_op()
+        return LazyAutomorphism(self.structure, seeded).as_op()

@@ -70,6 +70,7 @@ from .fnspace import (
     carrier_from_json,
     element_from_json,
     element_to_json,
+    exact_int,
     make_op,
     window,
 )
@@ -111,7 +112,8 @@ def _fragment_from(data: dict, ns):
     """A fragment from either an explicit table listing or generators."""
     if "generators" in data:
         carrier = carrier_from_json(data["carrier"])
-        gens = [make_op(carrier, g["arity"], table=g["table"])
+        gens = [make_op(carrier, exact_int(g["arity"], "arity"),
+                        table=g["table"])
                 for g in data["generators"]]
         return close_fragment(gens, max_arity=ns.max_arity, op_cap=ns.op_cap)
     return fragment_from_json(data)
@@ -134,12 +136,11 @@ def _points_from(structure, data, ns) -> list:
     points = [element_from_json(carrier, p) for p in data.get("points", [])]
     rng = random.Random(ns.seed)
     for _ in range(ns.trials):
+        # the carrier of a catalog structure: the rationals or the graph's
         if carrier.kind == "rationals":
             points.append(Fraction(rng.randint(-99, 99), rng.randint(1, 12)))
-        elif carrier.kind == "rado":
-            points.append(rng.randint(0, 1023))
         else:
-            points.append(rng.randrange(carrier.size))
+            points.append(rng.randint(0, 1023))
     return list(dict.fromkeys(points))
 
 
@@ -165,7 +166,7 @@ def cmd_verify_lifting(ns) -> Tuple[dict, dict, list]:
         tgt_by_table = {(n, op.table): op for n, op in target.all_ops()}
         mapping = {}
         for entry in data["mapping"]:
-            n = int(entry["arity"])
+            n = exact_int(entry["arity"], "arity")
             f = by_table[(n, tuple(entry["from"]))]
             mapping[f] = tgt_by_table[(n, tuple(entry["to"]))]
         xi = CloneHom(source, target, mapping)
@@ -326,7 +327,7 @@ def cmd_density(ns) -> Tuple[dict, dict, list]:
     reports = density_profile(source, targets, windows)
     results = {
         "profile": [
-            {"radius": k, "verdict": rep.to_json()["verdict"],
+            {"radius": k, "verdict": rep.verdict,
              "matched": rep.matched, "total": rep.total}
             for k, rep in enumerate(reports)
         ]

@@ -54,6 +54,7 @@ from .fnspace import (
     compose,
     compose_tables,
     conjugate_op,
+    exact_int,
     finite_carrier,
     make_op,
     projection,
@@ -698,11 +699,8 @@ def fragment_from_json(data: dict) -> CloneFragment:
     grouped: Dict[int, List[FinOp]] = {}
     for key, entries in data["ops"].items():
         arity = int(key)
-        level = []
-        for entry in entries:
-            if isinstance(entry, dict):
-                level.append(make_op(carrier, arity, table=entry["table"]))
-            else:
-                level.append(make_op(carrier, arity, table=entry))
-        grouped[arity] = level
-    return CloneFragment(carrier, int(data["max_arity"]), grouped)
+        grouped[arity] = [make_op(carrier, arity, table=entry["table"]
+                                  if isinstance(entry, dict) else entry)
+                          for entry in entries]
+    return CloneFragment(carrier, exact_int(data["max_arity"], "max_arity"),
+                         grouped)

@@ -561,6 +561,13 @@ def conjugate_at(theta: Bijection, op: FinOp, args: tuple):
 # JSON forms
 # ---------------------------------------------------------------------------
 
+def exact_int(value, what: str) -> int:
+    """An exact int as it is; a float, a bool or anything else raises."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def carrier_to_json(carrier: Carrier) -> dict:
     if carrier.kind == FINITE:
         return {"kind": "finite", "size": carrier.size}
@@ -572,7 +579,7 @@ def carrier_to_json(carrier: Carrier) -> dict:
 def carrier_from_json(data: dict) -> Carrier:
     kind = data.get("kind")
     if kind == "finite":
-        return finite_carrier(int(data["size"]))
+        return finite_carrier(exact_int(data["size"], "carrier size"))
     if kind == "rationals":
         return RATIONALS
     if kind == "rado":
@@ -617,7 +624,8 @@ def op_to_json(op: FinOp) -> dict:
 def op_from_json(data: dict, carrier: Optional[Carrier] = None) -> FinOp:
     if carrier is None:
         carrier = carrier_from_json(data["carrier"])
-    return FinOp(carrier, int(data["arity"]), table=data["table"])
+    return FinOp(carrier, exact_int(data["arity"], "arity"),
+                 table=data["table"])
 
 
 def window_to_json(win: Window) -> dict:

@@ -438,11 +438,7 @@ def monoid_to_json(m: MonoidSet) -> dict:
 
 def monoid_from_json(data: dict) -> MonoidSet:
     carrier = carrier_from_json(data["carrier"])
-    ops = []
-    for entry in data["ops"]:
-        if isinstance(entry, dict):
-            ops.append(op_from_json(entry, carrier))
-        else:
-            ops.append(make_op(carrier, 1, table=entry))
+    ops = [op_from_json(entry, carrier) if isinstance(entry, dict)
+           else make_op(carrier, 1, table=entry) for entry in data["ops"]]
     flags = data.get("flags", {})
     return monoid_set(carrier, ops, closed=flags.get("closed_under_composition"))

@@ -38,6 +38,7 @@ from .fnspace import (
     carrier_to_json,
     default_window,
     element_to_json,
+    exact_int,
     finite_carrier,
     identity_op,
     make_op,
@@ -57,11 +58,12 @@ class RelStructure:
     range passes without a call to :meth:`Carrier.contains`.
     """
 
-    __slots__ = ("carrier", "signature", "relations", "name")
+    __slots__ = ("carrier", "signature", "relations", "name", "is_finite")
 
     def __init__(self, carrier: Carrier, signature, relations, name=None):
         self.carrier = carrier
-        self.signature = tuple((str(n), int(a)) for n, a in signature)
+        self.signature = tuple((str(n), exact_int(a, "relation arity"))
+                               for n, a in signature)
         if len({n for n, _ in self.signature}) != len(self.signature):
             raise ValueError("duplicate relation names")
         self.name = name
@@ -87,11 +89,8 @@ class RelStructure:
                 tuples.add(t)
             normalised[rel_name] = frozenset(tuples)
         self.relations = normalised
-
-    @property
-    def is_finite(self) -> bool:
-        return self.carrier.is_finite and all(
-            not callable(r) for r in self.relations.values())
+        self.is_finite = carrier.is_finite and not any(
+            map(callable, normalised.values()))
 
     def related(self, rel_name: str, *args) -> bool:
         rel = self.relations[rel_name]
@@ -264,32 +263,30 @@ def _enumerate_maps(a: RelStructure, b: RelStructure, injective: bool,
                             injective)
 
 
-def _check_size(a: RelStructure, size_limit: int):
+def _require_searchable(a: RelStructure, b: RelStructure, size_limit: int):
+    """A finite and within the size limit, B finite, one signature."""
     a.require_finite()
     if a.carrier.size > size_limit:
         raise ValueError(
             f"structure size {a.carrier.size} exceeds the search limit "
             f"{size_limit}; raise size_limit explicitly to override")
+    b.require_finite()
+    if a.signature != b.signature:
+        raise ValueError("structures must share a signature")
 
 
 def hom_set(a: RelStructure, b: RelStructure,
             size_limit: int = DEFAULT_SIZE_LIMIT) -> List[tuple]:
     """All homomorphisms A -> B as image vectors (entry i is the image of
     element i).  Both structures must be finite and share a signature."""
-    _check_size(a, size_limit)
-    b.require_finite()
-    if a.signature != b.signature:
-        raise ValueError("structures must share a signature")
+    _require_searchable(a, b, size_limit)
     return list(_enumerate_maps(a, b, injective=False, reflect=False))
 
 
 def emb_set(a: RelStructure, b: RelStructure,
             size_limit: int = DEFAULT_SIZE_LIMIT) -> List[tuple]:
     """All embeddings A -> B: injective, preserving and reflecting."""
-    _check_size(a, size_limit)
-    b.require_finite()
-    if a.signature != b.signature:
-        raise ValueError("structures must share a signature")
+    _require_searchable(a, b, size_limit)
     return list(_enumerate_maps(a, b, injective=True, reflect=True))
 
 
@@ -305,20 +302,20 @@ def _as_monoid(a: RelStructure, vectors, group: bool = False):
 
 def end_monoid(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT) -> MonoidSet:
     """The endomorphism monoid of a finite structure."""
-    _check_size(a, size_limit)
+    _require_searchable(a, a, size_limit)
     return _as_monoid(a, _enumerate_maps(a, a, injective=False, reflect=False))
 
 
 def emb_monoid(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT) -> MonoidSet:
     """The self-embedding monoid of a finite structure."""
-    _check_size(a, size_limit)
+    _require_searchable(a, a, size_limit)
     return _as_monoid(a, _enumerate_maps(a, a, injective=True, reflect=True))
 
 
 def aut_group(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT) -> GroupSet:
     """The automorphism group (self-embeddings are bijective on a finite
     carrier, so this coincides with emb_monoid there)."""
-    _check_size(a, size_limit)
+    _require_searchable(a, a, size_limit)
     return _as_monoid(a, _enumerate_maps(a, a, injective=True, reflect=True),
                       group=True)
 
@@ -404,7 +401,7 @@ def is_homogeneous(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT):
     (:func:`_smallest_witness`).  So the automorphism group is never
     listed.  Returns (True, None) or (False, witness).
     """
-    _check_size(a, size_limit)
+    _require_searchable(a, a, size_limit)
     n = a.carrier.size
     rows = _map_rows(a, a, reflect=True)
     reps = [()]
@@ -529,28 +526,41 @@ def rado_extension_witness(adjacent_to, not_adjacent_to) -> int:
 # catalog structures and finite graph builders
 # ---------------------------------------------------------------------------
 
-def rationals_order() -> RelStructure:
-    """The dense linear order without endpoints, on exact fractions."""
-    return RelStructure(RATIONALS, [("lt", 2)], {"lt": lambda x, y: x < y},
-                        name="rationals-order")
-
-
-def rado_graph() -> RelStructure:
-    """The countable random graph in its bit-adjacency presentation."""
-    return RelStructure(
-        RADO, [("E", 2)],
-        {"E": lambda i, j: i != j and rado_adjacency(i, j)},
-        name="rado")
-
-
-_CATALOG = {"rationals-order": rationals_order, "rado": rado_graph}
+# name -> (carrier, relation name, predicate) of each binary structure
+_CATALOG = {
+    "rationals-order": (RATIONALS, "lt", lambda x, y: x < y),
+    "rado": (RADO, "E", lambda i, j: i != j and rado_adjacency(i, j)),
+}
 
 
 def catalog(name: str) -> RelStructure:
     if name not in _CATALOG:
         raise ValueError(f"unknown structure {name!r}; catalog has "
                          f"{sorted(_CATALOG)}")
-    return _CATALOG[name]()
+    carrier, rel, pred = _CATALOG[name]
+    return RelStructure(carrier, [(rel, 2)], {rel: pred}, name=name)
+
+
+def catalog_name(structure: RelStructure) -> str:
+    """The name of the catalog structure a structure is, by its name,
+    carrier and signature; UnsupportedLazyCarrier for any other."""
+    for name, (carrier, rel, _) in _CATALOG.items():
+        if ((structure.name, structure.carrier, structure.signature)
+                == (name, carrier, ((rel, 2),))):
+            return name
+    raise UnsupportedLazyCarrier(
+        "back-and-forth strategies are available for the catalog "
+        "structures only")
+
+
+def rationals_order() -> RelStructure:
+    """The dense linear order without endpoints, on exact fractions."""
+    return catalog("rationals-order")
+
+
+def rado_graph() -> RelStructure:
+    """The countable random graph in its bit-adjacency presentation."""
+    return catalog("rado")
 
 
 def graph_structure(size: int, edges: Iterable[tuple],
@@ -622,8 +632,5 @@ def structure_to_json(a: RelStructure) -> dict:
 def structure_from_json(data: dict) -> RelStructure:
     carrier = carrier_from_json(data["carrier"])
     signature = [(entry["name"], entry["arity"]) for entry in data["signature"]]
-    relations = {
-        name: [tuple(t) for t in data["relations"][name]]
-        for name, _ in signature
-    }
+    relations = {name: data["relations"][name] for name, _ in signature}
     return RelStructure(carrier, signature, relations, name=data.get("name"))

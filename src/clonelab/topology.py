@@ -133,6 +133,10 @@ class DensityReport:
     total: int
     witnesses: Tuple[Tuple[FinOp, Optional[FinOp]], ...] = field(repr=False)
 
+    @property
+    def verdict(self) -> str:
+        return "dense-at-window" if self.dense else "gap-found"
+
     def gaps(self) -> List[FinOp]:
         return [f for f, g in self.witnesses if g is None]
 
@@ -146,7 +150,7 @@ class DensityReport:
 
         return {
             "window": window_to_json(self.window),
-            "verdict": "dense-at-window" if self.dense else "gap-found",
+            "verdict": self.verdict,
             "matched": self.matched,
             "total": self.total,
             "witnesses": [

@@ -40,9 +40,11 @@ from clonelab.backforth import (
     transitivity_witness,
     _bit_positions,
     _PiecewiseLinear,
-    _validated_seed,
 )
 from clonelab.structures import (
+    RelStructure,
+    catalog_name,
+    complement_expansion,
     path_graph,
     rado_adjacency,
     rado_graph,
@@ -169,8 +171,9 @@ def test_pl_kernel_values_by_hand():
 
 def scan_seed(structure, pairs):
     """The seed check by the definition: every two pairs agree on every
-    relation, both ways round; the reference the sort on the rational
-    order is compared against.  Returns the distinct pairs sorted by
+    relation, both ways round, scanned in seed order; the reference the
+    sort on the rational order and the one-way scan of the catalog's one
+    relation are compared against.  Returns the distinct pairs sorted by
     source."""
     carrier = structure.carrier
     seed, images = {}, {}
@@ -195,9 +198,15 @@ def scan_seed(structure, pairs):
     return sorted(items)
 
 
-def seed_verdict(check, pairs):
+def seed_anchors(structure, pairs):
+    """The validated seed an automorphism keeps: its pairs sorted by
+    source, on both catalog structures."""
+    return automorphism_from(structure, pairs).snapshot()
+
+
+def seed_verdict(check, structure, pairs):
     try:
-        return check(Q, pairs)
+        return check(structure, pairs)
     except (InvalidSeed, TypeError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -218,11 +227,29 @@ if HAVE_HYPOTHESIS:
     @example([(0, 2), (1, 2)])
     @example([(0, 0), (1, 5), (2, 1), (3, 6)])
     @example([(0, 0), (0, 1), (0.5, 1)])
+    @example([(2, 0), (0, 1), (1, 2)])
     def test_rational_seed_check_matches_pairwise_scan(pairs):
-        assert seed_verdict(_validated_seed, pairs) == seed_verdict(scan_seed,
-                                                                    pairs)
-        assert (seed_verdict(_validated_seed, iter(pairs))
-                == seed_verdict(scan_seed, pairs))
+        expected = seed_verdict(scan_seed, Q, pairs)
+        assert seed_verdict(seed_anchors, Q, pairs) == expected
+        assert seed_verdict(seed_anchors, Q, iter(pairs)) == expected
+
+    # naturals, with repeats of one vertex under another code and values
+    # that are no vertex: a negative, a boolean, a float and a string
+    vertex_points = st.sampled_from([0, 1, 2, 3, 4, 5, 6, 9, -1, True, 2.0,
+                                     "3"])
+
+    @given(st.lists(st.tuples(vertex_points, vertex_points), min_size=1,
+                    max_size=6))
+    @settings(max_examples=400, deadline=None)
+    @example([(0, 1), (1, 0)])
+    @example([(0, 0), (1, 2)])
+    @example([(2, 0), (0, 1), (1, 2)])
+    @example([(0, 3), (0, 3), (1, 2)])
+    @example([(0, 1), (2, 1), (-1, 4)])
+    def test_rado_seed_check_matches_pairwise_scan(pairs):
+        expected = seed_verdict(scan_seed, R, pairs)
+        assert seed_verdict(seed_anchors, R, pairs) == expected
+        assert seed_verdict(seed_anchors, R, iter(pairs)) == expected
 
     anchor_lists = st.lists(
         st.fractions(min_value=-30, max_value=30, max_denominator=12),
@@ -536,6 +563,43 @@ def test_automorphism_needs_catalog_carrier():
         automorphism_from(path_graph(3), [(0, 0), (1, 0)])
     with pytest.raises(UnsupportedLazyCarrier):
         base_point(path_graph(3).carrier)
+
+
+def test_lazy_structures_outside_the_catalog_are_refused():
+    # (N, <) on the graph's carrier once got a "LazyAutomorphism" that sent
+    # 0 -> 1 -> 0, and a ternary relation crashed the seed scan with a
+    # TypeError; every back-and-forth entry point now refuses both
+    naturals = RelStructure(RADO, [("lt", 2)], {"lt": lambda x, y: x < y})
+    between = RelStructure(RATIONALS, [("B", 3)],
+                           {"B": lambda x, y, z: x < y < z})
+    # a catalog name on another carrier or with another signature
+    misnamed = RelStructure(RADO, [("lt", 2)], {"lt": lambda x, y: x < y},
+                            name="rationals-order")
+    widened = RelStructure(RATIONALS, [("lt", 2), ("B", 3)],
+                           {"lt": lambda x, y: x < y,
+                            "B": lambda x, y, z: x < y < z},
+                           name="rationals-order")
+    bare = RelStructure(RATIONALS, [], {})
+    message = ("back-and-forth strategies are available for the catalog "
+               "structures only")
+    for s in (naturals, between, misnamed, widened, bare,
+              complement_expansion(Q), complement_expansion(R)):
+        with pytest.raises(UnsupportedLazyCarrier) as info:
+            automorphism_from(s, [(0, 1), (1, 2)])
+        assert str(info.value) == message
+        with pytest.raises(UnsupportedLazyCarrier) as info:
+            embedding_from(s, [(0, 1), (1, 2)])
+        assert str(info.value) == message
+        with pytest.raises(UnsupportedLazyCarrier) as info:
+            BackAndForthInterpolator(s)
+        assert str(info.value) == message
+        with pytest.raises(UnsupportedLazyCarrier) as info:
+            noncommuting_witness(s, lambda x: x + 1)
+        assert str(info.value) == message
+        with pytest.raises(UnsupportedLazyCarrier):
+            catalog_name(s)
+    assert catalog_name(Q) == "rationals-order"
+    assert catalog_name(R) == "rado"
 
 
 def test_transitivity_witness_rationals():

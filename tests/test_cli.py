@@ -20,6 +20,7 @@ import pytest
 
 from clonelab import cli
 from clonelab import clone as clone_module
+from clonelab import topology
 from clonelab.cli import main
 from clonelab.clone import close_fragment, fragment_from_json, fragment_to_json
 from clonelab.fnspace import finite_carrier, make_op
@@ -339,6 +340,63 @@ def test_check_extension_rejects_a_malformed_rational(tmp_path, capsys, key,
         f"ValueError: bad rational element JSON: {bad!r}"]
 
 
+def fragment_listing(max_arity):
+    return {"carrier": {"kind": "finite", "size": 2}, "max_arity": max_arity,
+            "ops": {"1": [[0, 1], [1, 0]]}}
+
+
+@pytest.mark.parametrize("command, payload, failure", [
+    ("density",
+     {**DENSITY_FINITE, "carrier": {"kind": "finite", "size": 2.9}},
+     "ValueError: carrier size must be an integer, got 2.9"),
+    ("verify-lifting",
+     {"source": fragment_listing(1.5), "theta": [1, 0]},
+     "ValueError: max_arity must be an integer, got 1.5"),
+    ("verify-lifting",
+     {"source": {"carrier": {"kind": "finite", "size": 3},
+                 "generators": [{"arity": True, "table": [1, 2, 0]}]},
+      "theta": [1, 2, 0]},
+     "ValueError: arity must be an integer, got True"),
+    ("verify-lifting",
+     {"source": fragment_listing(1), "theta": [1, 0],
+      "mapping": [{"arity": 1.0, "from": [0, 1], "to": [0, 1]}]},
+     "ValueError: arity must be an integer, got 1.0"),
+    ("homogeneity",
+     {"structure": {"carrier": {"kind": "finite", "size": 3},
+                    "signature": [{"name": "E", "arity": 2.5}],
+                    "relations": {"E": [[0, 1], [1, 0]]}}},
+     "ValueError: relation arity must be an integer, got 2.5"),
+    ("centre-witness",
+     {"monoid": {"carrier": {"kind": "finite", "size": 2},
+                 "ops": [{"arity": 1.9, "table": [0, 1]},
+                         {"arity": 1, "table": [1, 0]}]}},
+     "ValueError: arity must be an integer, got 1.9"),
+], ids=["density-size", "lifting-max-arity", "lifting-generator-arity",
+        "lifting-mapping-arity", "homogeneity-arity", "centre-op-arity"])
+def test_a_malformed_json_integer_exits_2(tmp_path, capsys, command, payload,
+                                          failure):
+    # each was once truncated (2.9 -> 2) or read as a count (true -> 1)
+    # and the command exited 0
+    code, report = run_json(tmp_path, capsys, command, payload,
+                            "--max-arity", "1")
+    assert code == 2
+    assert report["results"] == {}
+    assert report["failures"] == [failure]
+
+
+def test_a_lazy_json_structure_outside_the_catalog_exits_2(tmp_path, capsys):
+    # an empty signature on the rationals once passed for the rational
+    # order, since only the carrier was looked at
+    payload = {"structure": {"carrier": {"kind": "rationals"},
+                             "signature": [], "relations": {}},
+               "seed": [["0", "1"]]}
+    code, report = run_json(tmp_path, capsys, "centre-witness", payload)
+    assert code == 2
+    assert report["failures"] == [
+        "UnsupportedLazyCarrier: back-and-forth strategies are available "
+        "for the catalog structures only"]
+
+
 # ---------------------------------------------------------------------------
 # density, homogeneity, complements
 # ---------------------------------------------------------------------------
@@ -351,6 +409,22 @@ def test_density_profile_finite(tmp_path, capsys):
     assert [p["verdict"] for p in profile] == ["dense-at-window", "gap-found"]
     assert [p["radius"] for p in profile] == [0, 1]
     assert [p["matched"] for p in profile] == [1, 0]
+
+
+def test_density_reads_each_verdict_without_building_json(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_json(report):
+        raise AssertionError("a report was turned into JSON")
+
+    monkeypatch.setattr(topology.DensityReport, "to_json", no_json)
+    for payload in (DENSITY_FINITE,
+                    {"structure": "rationals-order",
+                     "target_seeds": [[["0", "1"]], [["0", "0"], ["1", "3"]]]}):
+        code, report = run_json(tmp_path, capsys, "density", payload,
+                                "--window-k", "1")
+        assert code == 0
+        assert {p["verdict"] for p in report["results"]["profile"]} <= {
+            "dense-at-window", "gap-found"}
 
 
 def test_density_rejects_a_long_table_on_one_point(tmp_path):

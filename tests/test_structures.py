@@ -367,6 +367,61 @@ def test_size_limit_guard():
     assert len(aut_group(k8, size_limit=8).ops) == 40320
 
 
+def test_map_searches_check_their_preconditions_in_one_order():
+    # A finite, A within the size limit, B finite, one signature; the
+    # first that fails is the one raised
+    q = rationals_order()
+    lazy_relation = RelStructure(finite_carrier(2), [("E", 2)],
+                                 {"E": lambda x, y: x != y})
+    k8, k2 = complete_graph(8), complete_graph(2)
+    ternary = RelStructure(finite_carrier(2), [("B", 3)], {"B": []})
+    limit = "structure size 8 exceeds the search limit 7"
+    for search in (hom_set, emb_set):
+        for a, b, error, text in (
+                (q, k2, UnsupportedLazyCarrier, "finite extensional"),
+                (lazy_relation, q, UnsupportedLazyCarrier,
+                 "finite extensional"),
+                (k8, q, ValueError, limit),
+                (k8, ternary, ValueError, limit),
+                (k2, lazy_relation, UnsupportedLazyCarrier,
+                 "finite extensional"),
+                (k2, ternary, ValueError, "share a signature")):
+            with pytest.raises(error, match=text):
+                search(a, b)
+    for search in (end_monoid, emb_monoid, aut_group, is_homogeneous):
+        with pytest.raises(UnsupportedLazyCarrier):
+            search(lazy_relation)
+        with pytest.raises(ValueError, match=limit):
+            search(k8)
+
+
+def walked_is_finite(a):
+    """``is_finite`` by its definition: a finite carrier and no relation
+    given as a predicate, read off the relations."""
+    return a.carrier.is_finite and all(not callable(r)
+                                       for r in a.relations.values())
+
+
+@pytest.mark.parametrize("a", [
+    path_graph(3),
+    rationals_order(),
+    rado_graph(),
+    complement_expansion(rationals_order()),
+    complement_expansion(cycle_graph(4)),
+    RelStructure(finite_carrier(3), [("R", 2)], {"R": lambda x, y: x < y}),
+    RelStructure(finite_carrier(3), [("E", 2), ("R", 1)],
+                 {"E": [(0, 1)], "R": lambda x: x == 2}),
+    RelStructure(finite_carrier(2), [], {}),
+    RelStructure(RATIONALS, [], {}),
+    RelStructure(RADO, [], {}),
+], ids=["path", "rationals", "rado", "rationals+co", "cycle+co",
+        "finite-callable", "finite-mixed", "finite-empty", "rationals-empty",
+        "rado-empty"])
+def test_is_finite_is_set_once_as_defined(a):
+    assert a.is_finite == walked_is_finite(a)
+    assert "is_finite" in RelStructure.__slots__
+
+
 def test_end_monoid_flags_are_accurate():
     m = end_monoid(path_graph(3))
     assert isinstance(m, MonoidSet)
