@@ -439,9 +439,8 @@ def probe_stream(carrier: Carrier) -> Iterator:
 class NoncommutingReport:
     """Outcome of a search for an automorphism that fails to commute
     with a given map; success exhibits the probe point and both
-    composite values."""
+    composite values; the outcome is whether a partner was found."""
 
-    outcome: str
     probes_checked: int
     point: object = None
     partner: Optional[LazyAutomorphism] = None
@@ -450,7 +449,11 @@ class NoncommutingReport:
 
     @property
     def found(self) -> bool:
-        return self.outcome == "witness-found"
+        return self.partner is not None
+
+    @property
+    def outcome(self) -> str:
+        return "witness-found" if self.found else "identity-on-probed-points"
 
     def to_json(self) -> dict:
         data = {"outcome": self.outcome, "probes_checked": self.probes_checked}
@@ -473,13 +476,15 @@ def noncommuting_witness(structure: RelStructure, f: Callable,
     outcome "identity-on-probed-points", which on a lazy carrier is all
     a finite search can certify.
     """
+    if probe_budget < 0:
+        raise ValueError(
+            f"probe_budget must be non-negative, got {probe_budget}")
     stream = probe_stream(structure.carrier)
     rational = catalog_name(structure) == "rationals-order"
     checked = 0
     for x in stream:  # endless, so left only by the return or the break
         if checked >= probe_budget:
-            return NoncommutingReport(outcome="identity-on-probed-points",
-                                      probes_checked=checked)
+            return NoncommutingReport(probes_checked=checked)
         checked += 1
         if f(x) != x:
             break
@@ -493,8 +498,8 @@ def noncommuting_witness(structure: RelStructure, f: Callable,
     g = automorphism_from(structure, [(x, x), (fx, z)])
     left = f(g(x))
     right = g(fx)
-    return NoncommutingReport(outcome="witness-found", probes_checked=checked,
-                              point=x, partner=g, left=left, right=right)
+    return NoncommutingReport(probes_checked=checked, point=x, partner=g,
+                              left=left, right=right)
 
 
 # ---------------------------------------------------------------------------

@@ -74,24 +74,20 @@ class CloneFragment:
     canonically sorted by arity.
 
     ``contains_projections`` says whether every projection of every arity
-    1..max_arity is present; ``closed_within_bound`` whether every
-    composition staying inside the bound lands in the fragment, None
-    while unknown.  ``generators``, when known, generate the fragment.
-    The projection flag is computed from scratch, and the others are
-    None, unless supplied by a builder that guarantees them; the
-    homomorphism checks fill in the closure flag and the generators of a
-    fragment that contains the projections.  None of them takes part in
-    equality.
+    1..max_arity is present, and is computed from the members.
+    ``closed_within_bound`` says whether every composition staying inside
+    the bound lands in the fragment, and ``generators`` generate the
+    fragment; both are None until known.  :func:`close_fragment` records
+    the generators it closed under, and :func:`_generators` records the
+    ones its search finds, or that the search proved the fragment not
+    closed.  None of the three takes part in equality.
     """
 
     __slots__ = ("carrier", "max_arity", "ops_by_arity", "_members",
                  "contains_projections", "closed_within_bound", "generators")
 
     def __init__(self, carrier: Carrier, max_arity: int,
-                 ops_by_arity: Dict[int, Iterable[FinOp]],
-                 contains_projections: Optional[bool] = None,
-                 closed_within_bound: Optional[bool] = None,
-                 generators: Optional[Tuple[FinOp, ...]] = None):
+                 ops_by_arity: Dict[int, Iterable[FinOp]]):
         carrier.require_finite()
         if max_arity < 1:
             raise ValueError("max_arity must be at least 1")
@@ -113,15 +109,13 @@ class CloneFragment:
         self.ops_by_arity = grouped
         self._members = {(n, op.table): op
                          for n, level in grouped.items() for op in level}
-        if contains_projections is None:
-            contains_projections = all(
-                self.member(n, table) is not None
-                for n in range(1, max_arity + 1)
-                for table in _projection_tables(carrier.size, n)
-            )
-        self.contains_projections = contains_projections
-        self.closed_within_bound = closed_within_bound
-        self.generators = generators
+        self.contains_projections = all(
+            self.member(n, table) is not None
+            for n in range(1, max_arity + 1)
+            for table in _projection_tables(carrier.size, n)
+        )
+        self.closed_within_bound = None
+        self.generators = None
 
     def arities(self) -> List[int]:
         return sorted(self.ops_by_arity)
@@ -198,7 +192,7 @@ def close_fragment(gens: Iterable[FinOp], max_arity: int = 3,
     liftings of the nullary generators; projections and generators keep
     their labels.  Each arity level is capped at ``op_cap`` operations;
     crossing the cap raises :class:`BudgetExceeded` naming the lowest
-    arity that overflows.
+    arity that overflows.  The result records the generators.
     """
     gens = list(gens)
     if not gens:
@@ -228,9 +222,10 @@ def close_fragment(gens: Iterable[FinOp], max_arity: int = 3,
         if tables:
             grouped[m] = tuple(FinOp(carrier, m, table=t, label=labels.get(t))
                                for t in tables)
-    return CloneFragment(carrier, max_arity, grouped,
-                         contains_projections=True, closed_within_bound=True,
-                         generators=tuple(dict.fromkeys(gens)))
+    frag = CloneFragment(carrier, max_arity, grouped)
+    frag.generators = tuple(dict.fromkeys(gens))
+    frag.closed_within_bound = True
+    return frag
 
 
 def composition_identities(frag: CloneFragment, outer: Iterable[FinOp]):
@@ -320,8 +315,8 @@ def _generators(frag: CloneFragment) -> Optional[Tuple[FinOp, ...]]:
 
 def conjugate_fragment(frag: CloneFragment, theta) -> CloneFragment:
     """Apply :func:`~clonelab.fnspace.conjugate_op` to every member.
-    Projections are fixed by conjugation and compositions are preserved,
-    so the flags carry over."""
+    Like any fragment given by its members, the result computes its
+    projection flag, and its closure is unknown until searched."""
     theta = as_bijection(theta, frag.carrier)
     return _conjugate_of(frag, {op: conjugate_op(theta, op)
                                 for _, op in frag.all_ops()})
@@ -331,9 +326,7 @@ def _conjugate_of(frag: CloneFragment, conjugates) -> CloneFragment:
     """The fragment of the already computed conjugates of the members."""
     grouped = {n: tuple(conjugates[op] for op in frag.ops(n))
                for n in frag.arities()}
-    return CloneFragment(frag.carrier, frag.max_arity, grouped,
-                         contains_projections=frag.contains_projections,
-                         closed_within_bound=frag.closed_within_bound)
+    return CloneFragment(frag.carrier, frag.max_arity, grouped)
 
 
 def predict_from_unary_part(theta, unary_part, h: FinOp, targets) -> object:
@@ -412,16 +405,13 @@ class CloneHom:
     ``is_conjugation_by`` compares against direct conjugation.
     """
 
-    __slots__ = ("source", "target", "mapping", "mode", "theta")
+    __slots__ = ("source", "target", "mapping")
 
     def __init__(self, source: CloneFragment, target: CloneFragment,
-                 mapping: Dict[FinOp, FinOp], mode: str = "explicit",
-                 theta=None):
+                 mapping: Dict[FinOp, FinOp]):
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        self.mode = mode
-        self.theta = theta
         for _, op in source.all_ops():
             image = self.mapping.get(op)
             if image is None:
@@ -438,7 +428,7 @@ class CloneHom:
         mapping = {op: conjugate_op(theta, op) for _, op in source.all_ops()}
         if target is None:
             target = _conjugate_of(source, mapping)
-        return cls(source, target, mapping, mode="conjugation", theta=theta)
+        return cls(source, target, mapping)
 
     def image(self, op: FinOp) -> FinOp:
         return self.mapping[op]
@@ -496,7 +486,7 @@ class CloneHom:
         return out
 
     def __repr__(self):
-        return f"CloneHom(mode={self.mode}, indices={self.as_index_map()})"
+        return f"CloneHom(indices={self.as_index_map()})"
 
 
 def enumerate_clone_homs(source: CloneFragment,
@@ -621,14 +611,21 @@ class LiftingReport:
     """Outcome of :func:`verify_conjugation_lifting`.
 
     The hypothesis checklist always comes first; when any hypothesis
-    fails the conclusion is "hypotheses-not-met" and no operation checks
-    are run.
+    fails no operation checks are run.  The conclusion is read off the
+    hypotheses and the counterexamples.
     """
 
     hypotheses: Dict[str, bool]
-    conclusion: str
     checked: int = 0
     counterexamples: List[dict] = field(default_factory=list)
+
+    @property
+    def conclusion(self) -> str:
+        if not all(self.hypotheses.values()):
+            return "hypotheses-not-met"
+        if self.counterexamples:
+            return "counterexamples-found"
+        return "conjugation-at-every-arity"
 
     def to_json(self) -> dict:
         return {
@@ -660,13 +657,11 @@ def verify_conjugation_lifting(xi: CloneHom, theta) -> LiftingReport:
             xi.image(op) == conjugate for op, conjugate in unary.items()),
     }
     if not all(hypotheses.values()):
-        return LiftingReport(hypotheses, "hypotheses-not-met")
-    checked = 0
+        return LiftingReport(hypotheses)
     counterexamples = []
     for n, h in xi.source.all_ops():
         expected = unary[h] if n == 1 else conjugate_op(theta, h)
         actual = xi.image(h)
-        checked += 1
         if actual != expected:
             counterexamples.append({
                 "arity": n,
@@ -674,9 +669,7 @@ def verify_conjugation_lifting(xi: CloneHom, theta) -> LiftingReport:
                 "expected": list(expected.table),
                 "actual": list(actual.table),
             })
-    conclusion = ("conjugation-at-every-arity" if not counterexamples
-                  else "counterexamples-found")
-    return LiftingReport(hypotheses, conclusion, checked, counterexamples)
+    return LiftingReport(hypotheses, xi.source.op_count(), counterexamples)
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,6 @@ class FinOp:
         else:
             self.table = None
 
-    @property
-    def is_lazy(self) -> bool:
-        return self.table is None
-
     def __call__(self, *args):
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")

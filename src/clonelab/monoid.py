@@ -3,9 +3,10 @@
 A :class:`MonoidSet` is a set of unary operations.  On a finite carrier it
 is extensional: the operations are stored as sorted value tables and the
 closure, invertibility, transitivity and directedness questions below are
-all decided by finite search.  On a lazy carrier a MonoidSet is only a
-generator presentation; operations that need to enumerate the whole set
-raise :class:`~clonelab.errors.UnsupportedLazyCarrier`, and the lazy
+all decided by finite search, and so are its identity and closure flags,
+read off the members.  On a lazy carrier a MonoidSet is only a generator
+presentation; operations that need to enumerate the whole set raise
+:class:`~clonelab.errors.UnsupportedLazyCarrier`, and the lazy
 structures are served instead by the back-and-forth machinery.
 
 Weak directedness is the key hypothesis used by the conjugation-lifting
@@ -19,6 +20,7 @@ extends to any finite list of targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded, NoCommonAncestor, UnsupportedLazyCarrier
@@ -41,17 +43,29 @@ from .fnspace import (
 
 @dataclass(frozen=True)
 class MonoidSet:
-    """A set of unary operations with bookkeeping flags.
+    """A set of unary operations.
 
-    ``contains_identity`` and ``closed_under_composition`` are None when
-    unknown (lazy presentations).  Use :func:`monoid_set` to build one
-    with the flags computed.
+    ``contains_identity`` and ``closed_under_composition`` are read off
+    the members on first use and cached; both are None on a lazy carrier.
+    Neither takes part in equality.  Use :func:`monoid_set` to build one.
     """
 
     carrier: Carrier
     ops: tuple
-    contains_identity: Optional[bool] = None
-    closed_under_composition: Optional[bool] = None
+
+    @cached_property
+    def contains_identity(self) -> Optional[bool]:
+        if not self.carrier.is_finite:
+            return None
+        return identity_op(self.carrier) in self.ops
+
+    @cached_property
+    def closed_under_composition(self) -> Optional[bool]:
+        if not self.carrier.is_finite:
+            return None
+        tables = {op.table for op in self.ops}
+        return all(compose_tables(f, (g,), self.carrier.size, 1) in tables
+                   for f in tables for g in tables)
 
     def __iter__(self):
         return iter(self.ops)
@@ -92,40 +106,27 @@ def _normalise_ops(carrier: Carrier, ops: Iterable[FinOp]):
 
 def monoid_set(carrier: Carrier, ops: Iterable[FinOp],
                closed: Optional[bool] = None) -> MonoidSet:
-    """Build a MonoidSet, computing the identity flag on finite carriers
-    and verifying the closure flag when one is claimed."""
-    members = _normalise_ops(carrier, ops)
-    has_id: Optional[bool] = None
-    if carrier.is_finite:
-        has_id = identity_op(carrier) in members
-        actual = _is_closed(carrier, members)
-        if closed is not None and closed != actual:
-            raise ValueError(f"claimed closed_under_composition={closed} "
-                             f"but it is {actual}")
-        closed = actual
-    return MonoidSet(carrier, members, has_id, closed)
+    """Build a MonoidSet, verifying the closure flag when one is claimed
+    on a finite carrier."""
+    m = MonoidSet(carrier, _normalise_ops(carrier, ops))
+    if (closed is not None and carrier.is_finite
+            and closed != m.closed_under_composition):
+        raise ValueError(f"claimed closed_under_composition={closed} "
+                         f"but it is {m.closed_under_composition}")
+    return m
 
 
 def group_set(carrier: Carrier, ops: Iterable[FinOp]) -> GroupSet:
     """Like :func:`monoid_set` but validates that every member is a
     bijection whose inverse is also a member (finite carriers)."""
     members = _normalise_ops(carrier, ops)
-    has_id = closed = None
     if carrier.is_finite:
         tables = {op.table for op in members}
         for op in members:
             inv = inverse_table(op.table)
             if inv is None or inv not in tables:
                 raise ValueError(f"{op!r} is not invertible within the set")
-        has_id = identity_op(carrier) in members
-        closed = _is_closed(carrier, members)
-    return GroupSet(carrier, members, has_id, closed)
-
-
-def _is_closed(carrier: Carrier, members) -> bool:
-    tables = {op.table for op in members}
-    return all(compose_tables(f, (g,), carrier.size, 1) in tables
-               for f in tables for g in tables)
+    return GroupSet(carrier, members)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +171,13 @@ def close_under_composition(gens: Iterable[FinOp], include_identity: bool = True
         ) from None
     ops = tuple(seeds.get(table) or FinOp(carrier, 1, table=table)
                 for table in sorted(tables))
-    return MonoidSet(carrier, ops, identity.table in tables, True)
+    return MonoidSet(carrier, ops)
 
 
 def invertibles(m: MonoidSet) -> GroupSet:
     """The units of a finite monoid: members with a two-sided inverse
-    inside the set.  Both flags of the result are computed, so the units
-    of a set that is not closed are reported as not closed."""
+    inside the set.  Its flags are read off the units, so the units of a
+    set that is not closed are reported as not closed."""
     m.require_extensional()
     tables = {op.table for op in m.ops}
     return group_set(m.carrier, (op for op in m.ops
@@ -257,8 +258,7 @@ def centre(m: MonoidSet) -> MonoidSet:
                if all(compose_tables(f.table, (g.table,), size, 1)
                       == compose_tables(g.table, (f.table,), size, 1)
                       for g in m.ops)]
-    return MonoidSet(m.carrier, tuple(central),
-                     identity_op(m.carrier) in central, None)
+    return MonoidSet(m.carrier, tuple(central))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,8 @@ def injective_endos_fixing(m: MonoidSet, fixed: Iterable[FinOp]):
     """All injective monoid endomorphisms of a finite monoid that fix the
     given members pointwise.
 
-    The monoid must be composition closed and contain the identity.  On a
+    The monoid must be composition closed and contain the identity, which
+    are read off the composition table the search is built on.  On a
     finite monoid injectivity forces bijectivity.  An endomorphism psi is
     fixed by the images of a generating set, taken from a Cayley-graph
     search (:func:`_cayley_steps`) with the fixed members first, so that
@@ -285,18 +286,17 @@ def injective_endos_fixing(m: MonoidSet, fixed: Iterable[FinOp]):
     uniqueness question "is the identity the only such map" is the
     rigidity hypothesis used by the extension checks.
     """
-    m.require_extensional()
-    if not m.closed_under_composition:
-        raise ValueError("monoid must be closed under composition")
-    if not m.contains_identity:
-        raise ValueError("monoid must contain the identity")
     tables = m.tables()
     index = {t: i for i, t in enumerate(tables)}
     n = len(tables)
     size = m.carrier.size
-    comp = [[index[compose_tables(f, (g,), size, 1)] for g in tables]
+    comp = [[index.get(compose_tables(f, (g,), size, 1)) for g in tables]
             for f in tables]
-    id_idx = index[identity_op(m.carrier).table]
+    if any(None in row for row in comp):
+        raise ValueError("monoid must be closed under composition")
+    id_idx = index.get(identity_op(m.carrier).table)
+    if id_idx is None:
+        raise ValueError("monoid must contain the identity")
 
     fixed_idx = {id_idx}
     for op in fixed:

@@ -40,7 +40,6 @@ from .fnspace import (
     element_to_json,
     exact_int,
     finite_carrier,
-    identity_op,
     make_op,
 )
 from .monoid import GroupSet, MonoidSet
@@ -291,13 +290,9 @@ def emb_set(a: RelStructure, b: RelStructure,
 
 
 def _as_monoid(a: RelStructure, vectors, group: bool = False):
-    carrier = a.carrier
-    ops = tuple(make_op(carrier, 1, table=v) for v in sorted(vectors))
     cls = GroupSet if group else MonoidSet
-    has_id = identity_op(carrier).table in {op.table for op in ops}
-    # closure under composition holds for structure-map monoids, so the
-    # flag is set rather than re-verified
-    return cls(carrier, ops, has_id, True)
+    return cls(a.carrier, tuple(make_op(a.carrier, 1, table=v)
+                                for v in sorted(vectors)))
 
 
 def end_monoid(a: RelStructure, size_limit: int = DEFAULT_SIZE_LIMIT) -> MonoidSet:
@@ -633,4 +628,7 @@ def structure_from_json(data: dict) -> RelStructure:
     carrier = carrier_from_json(data["carrier"])
     signature = [(entry["name"], entry["arity"]) for entry in data["signature"]]
     relations = {name: data["relations"][name] for name, _ in signature}
-    return RelStructure(carrier, signature, relations, name=data.get("name"))
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"structure name must be a string, got {name!r}")
+    return RelStructure(carrier, signature, relations, name=name)

@@ -128,10 +128,19 @@ class DensityReport:
     another, with one witness (or gap) per target operation."""
 
     window: Window
-    dense: bool
-    matched: int
-    total: int
     witnesses: Tuple[Tuple[FinOp, Optional[FinOp]], ...] = field(repr=False)
+
+    @property
+    def matched(self) -> int:
+        return sum(g is not None for _, g in self.witnesses)
+
+    @property
+    def total(self) -> int:
+        return len(self.witnesses)
+
+    @property
+    def dense(self) -> bool:
+        return self.matched == self.total
 
     @property
     def verdict(self) -> str:
@@ -164,19 +173,14 @@ def is_dense_at_window(source, targets, win: Window) -> DensityReport:
     """Check that every target operation is interpolated by the source
     at the window.  The verdict is exact on a finite carrier whose
     window is the whole carrier, and window-verified otherwise."""
-    targets = list(targets)
     witnesses = []
-    matched = 0
     for f in targets:
         try:
             g = interpolant(f, source, win)
-            matched += 1
         except InterpolationFailure:
             g = None
         witnesses.append((f, g))
-    return DensityReport(window=win, dense=matched == len(targets),
-                         matched=matched, total=len(targets),
-                         witnesses=tuple(witnesses))
+    return DensityReport(window=win, witnesses=tuple(witnesses))
 
 
 def density_profile(source, targets, windows) -> List[DensityReport]:

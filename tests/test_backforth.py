@@ -662,6 +662,26 @@ def test_noncommuting_witness_identity_outcome():
                     "probes_checked": 10}
 
 
+def test_the_noncommuting_outcome_is_read_off_the_partner():
+    reports = [noncommuting_witness(Q, automorphism_from(Q), probe_budget=10),
+               noncommuting_witness(Q, automorphism_from(Q, [(0, 1)])),
+               noncommuting_witness(R, automorphism_from(R, [(0, 1)]))]
+    for report in reports:
+        assert report.found == (report.partner is not None)
+        assert report.outcome == report.to_json()["outcome"] == (
+            "witness-found" if report.partner is not None
+            else "identity-on-probed-points")
+    assert [r.found for r in reports] == [False, True, True]
+
+
+def test_a_negative_probe_budget_is_refused():
+    f = automorphism_from(Q, [(0, 1)])
+    with pytest.raises(ValueError,
+                       match="^probe_budget must be non-negative, got -1$"):
+        noncommuting_witness(Q, f, probe_budget=-1)
+    assert noncommuting_witness(Q, f, probe_budget=0).probes_checked == 0
+
+
 def test_noncommuting_report_json():
     f = automorphism_from(Q, [(0, 1)])
     report = noncommuting_witness(Q, f)

@@ -13,18 +13,21 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 from clonelab import cli
 from clonelab import clone as clone_module
+from clonelab import monoid as monoid_module
 from clonelab import topology
 from clonelab.cli import main
 from clonelab.clone import close_fragment, fragment_from_json, fragment_to_json
 from clonelab.fnspace import finite_carrier, make_op
-from clonelab.monoid import monoid_to_json
+from clonelab.monoid import MonoidSet, centre, monoid_to_json
 from clonelab.structures import (
     complete_graph,
     cycle_graph,
@@ -36,6 +39,8 @@ from test_clone import homs_by_compositions
 
 S3_TABLES = [[0, 1, 2], [1, 0, 2], [2, 1, 0], [0, 2, 1], [1, 2, 0], [2, 0, 1]]
 ROTATIONS = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+S4_TABLES = [list(p) for p in permutations(range(4))]
+S4 = {"carrier": {"kind": "finite", "size": 4}, "ops": S4_TABLES}
 
 
 def run(capsys, *argv):
@@ -397,6 +402,26 @@ def test_a_lazy_json_structure_outside_the_catalog_exits_2(tmp_path, capsys):
         "for the catalog structures only"]
 
 
+@pytest.mark.parametrize("command,payload,flags,failure", [
+    ("centre-witness", {"structure": "rationals-order", "seed": [["0", "1"]]},
+     ["--probe-budget", "-1"],
+     "ValueError: probe_budget must be non-negative, got -1"),
+    ("homogeneity",
+     {"structure": {"carrier": {"kind": "finite", "size": 2},
+                    "signature": [{"name": "E", "arity": 2}],
+                    "relations": {"E": []}, "name": [1, 2]}},
+     [], "ValueError: structure name must be a string, got [1, 2]"),
+], ids=["negative-probe-budget", "list-name"])
+def test_an_out_of_range_option_or_name_exits_2(tmp_path, capsys, command,
+                                                payload, flags, failure):
+    # each exited 0: the budget with the vacuous verdict after 0 probes,
+    # the name echoed in the parameters
+    code, report = run_json(tmp_path, capsys, command, payload, *flags)
+    assert code == 2
+    assert report["results"] == {}
+    assert report["failures"] == [failure]
+
+
 # ---------------------------------------------------------------------------
 # density, homogeneity, complements
 # ---------------------------------------------------------------------------
@@ -531,6 +556,56 @@ def test_injective_endos_of_end_k4(tmp_path, capsys):
     assert code == 0
     assert report["parameters"]["monoid_size"] == 24
     assert report["results"]["report"]["count"] == 24
+
+
+def counted_compositions(monkeypatch) -> Counter:
+    """Count the member pairs the monoid layer composes, by their tables."""
+    pairs = Counter()
+    compose_tables = monoid_module.compose_tables
+
+    def counted(f, gs, size, arity):
+        pairs[(f, *gs)] += 1
+        return compose_tables(f, gs, size, arity)
+
+    monkeypatch.setattr(monoid_module, "compose_tables", counted)
+    return pairs
+
+
+def test_injective_endos_composes_each_ordered_pair_once(tmp_path, capsys,
+                                                        monkeypatch):
+    # the closure flag was once computed by composing all 576 pairs, and
+    # the search's own table composed them again
+    pairs = counted_compositions(monkeypatch)
+    payload = {"monoid": S4, "fixed": [[0, 1, 2, 3]]}
+    code, report = run_json(tmp_path, capsys, "injective-endos", payload)
+    assert code == 0
+    assert report["results"]["report"]["count"] == 24
+    assert pairs == Counter({(tuple(f), tuple(g)): 1
+                             for f in S4_TABLES for g in S4_TABLES})
+
+
+def test_transitivity_composes_no_pair_of_members(tmp_path, capsys,
+                                                  monkeypatch):
+    pairs = counted_compositions(monkeypatch)
+    payload = {"monoid": S4, "pairs": [[1, 2]]}
+    code, report = run_json(tmp_path, capsys, "transitivity", payload)
+    assert code == 0
+    assert report["results"]["transitive"] is True
+    assert not pairs
+
+
+def test_centre_witness_composes_only_for_the_centre(tmp_path, capsys,
+                                                     monkeypatch):
+    pairs = counted_compositions(monkeypatch)
+    code, report = run_json(tmp_path, capsys, "centre-witness", {"monoid": S4})
+    assert code == 0
+    assert report["results"] == {"centre": [[0, 1, 2, 3]], "trivial": True}
+    spent = sum(pairs.values())
+    pairs.clear()
+    carrier = finite_carrier(4)
+    centre(MonoidSet(carrier, tuple(make_op(carrier, 1, table=t)
+                                    for t in S4_TABLES)))
+    assert spent == sum(pairs.values()) > 0
 
 
 def test_centre_of_s3_is_trivial(tmp_path, capsys):

@@ -29,6 +29,7 @@ from clonelab.errors import BudgetExceeded, NotBijective
 from clonelab.clone import (
     CloneFragment,
     CloneHom,
+    LiftingReport,
     _generators,
     close_fragment,
     composition_identities,
@@ -419,6 +420,29 @@ def test_verify_lifting_flags_wrong_theta():
     report = verify_conjugation_lifting(xi, IDENT)
     assert report.hypotheses["unary_restriction_is_conjugation"] is False
     assert report.conclusion == "hypotheses-not-met"
+
+
+def test_the_lifting_conclusion_is_read_off_hypotheses_and_counterexamples():
+    frag = close_fragment([NOT, AND], max_arity=2)
+    unmet = close_fragment([AND], max_arity=2)
+    reports = [
+        verify_conjugation_lifting(CloneHom.conjugation(frag, SWAP), SWAP),
+        verify_conjugation_lifting(CloneHom.conjugation(unmet, IDENT), IDENT),
+        verify_conjugation_lifting(CloneHom.conjugation(frag, SWAP), IDENT),
+        LiftingReport(dict.fromkeys(("homomorphism", "surjective"), True),
+                      1, [{"arity": 2}]),
+    ]
+    for report in reports:
+        if not all(report.hypotheses.values()):
+            expected = "hypotheses-not-met"
+        elif report.counterexamples:
+            expected = "counterexamples-found"
+        else:
+            expected = "conjugation-at-every-arity"
+        assert report.conclusion == report.to_json()["conclusion"] == expected
+    assert [r.conclusion for r in reports] == [
+        "conjugation-at-every-arity", "hypotheses-not-met",
+        "hypotheses-not-met", "counterexamples-found"]
 
 
 def test_report_json_shape():

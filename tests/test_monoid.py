@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from clonelab import monoid as monoid_module
 from clonelab.errors import BudgetExceeded, UnsupportedLazyCarrier
 from clonelab.fnspace import (
     RATIONALS,
@@ -25,6 +26,7 @@ from clonelab.fnspace import (
     window,
 )
 from clonelab.monoid import (
+    MonoidSet,
     centre,
     close_under_composition,
     endo_report,
@@ -126,6 +128,59 @@ def test_invertibles_computes_both_flags():
     assert units.closed_under_composition is False
     # a missing identity is reported as False, not as unknown
     assert invertibles(monoid_set(B3, [s01])).contains_identity is False
+
+
+def flags_by_all_pairs(tables, size):
+    """The exhaustive oracle for both flags: whether the identity is a
+    member, and whether every composite of two members is one."""
+    known = set(tables)
+    return (tuple(range(size)) in known,
+            all(tuple(f[g[x]] for x in range(size)) in known
+                for f in known for g in known))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_builder_gets_both_flags_of_the_all_pairs_oracle(data):
+    size = data.draw(st.integers(min_value=1, max_value=3))
+    carrier = finite_carrier(size)
+    table = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+    ops = [make_op(carrier, 1, table=t)
+           for t in data.draw(st.lists(table, max_size=5))]
+
+    def agrees(m):
+        assert (m.contains_identity, m.closed_under_composition) \
+            == flags_by_all_pairs(m.tables(), size)
+
+    m = monoid_set(carrier, ops)
+    for built in (m, invertibles(m), centre(m)):
+        agrees(built)
+    if ops:
+        agrees(close_under_composition(
+            ops, include_identity=data.draw(st.booleans())))
+    tables = {op.table for op in ops}
+    if all(sorted(t) == list(range(size))
+           and tuple(t.index(y) for y in range(size)) in tables
+           for t in tables):
+        agrees(group_set(carrier, ops))
+
+
+def test_flags_are_computed_once_and_stay_out_of_equality(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compose_tables(*args)
+
+    compose_tables = monoid_module.compose_tables
+    monkeypatch.setattr(monoid_module, "compose_tables", counted)
+    m = monoid_set(B2, [NOT])
+    assert calls == []
+    assert m.closed_under_composition is False
+    assert m.closed_under_composition is False
+    assert len(calls) == 1
+    bare = MonoidSet(B2, m.ops)
+    assert m == bare and hash(m) == hash(bare)
 
 
 def test_group_set_rejects_non_invertible_member():
@@ -317,6 +372,18 @@ def test_endos_require_closed_monoid_with_identity():
     not_closed = MonoidLike = monoid_set(B2, [NOT])
     with pytest.raises(ValueError):
         injective_endos_fixing(not_closed, [])
+
+
+def test_the_closure_precondition_is_reported_before_the_identity():
+    # s(x) = min(x + 1, 2) is neither closed (s o s is the constant 2) nor
+    # the identity; the constant c0 alone is closed without the identity
+    m = monoid_set(B3, [make_op(B3, 1, table=[1, 2, 2])])
+    assert (m.closed_under_composition, m.contains_identity) == (False, False)
+    with pytest.raises(ValueError,
+                       match="^monoid must be closed under composition$"):
+        injective_endos_fixing(m, [])
+    with pytest.raises(ValueError, match="^monoid must contain the identity$"):
+        injective_endos_fixing(monoid_set(B2, [C0]), [])
 
 
 def endos_by_permutations(m, fixed):

@@ -435,8 +435,8 @@ def test_end_monoid_flags_are_accurate():
 
 
 def test_asserted_monoid_flags_are_the_computed_ones():
-    # end_monoid, emb_monoid and aut_group set closed_under_composition
-    # without composing; monoid_set and group_set compute both flags
+    # the map monoids and the sets rebuilt from their members by
+    # monoid_set and group_set read both flags off the same members
     for n in range(1, 5):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -886,6 +886,16 @@ def test_structure_json_round_trip():
     assert json.loads(json.dumps(data)) == data
     assert structure_from_json(data) == p4
     assert structure_from_json(data).name == "path-4"
+
+
+@pytest.mark.parametrize("name", [[1, 2], 7, True, {"a": 1}])
+def test_a_json_structure_name_must_be_a_string(name):
+    data = dict(structure_to_json(path_graph(2)), name=name)
+    with pytest.raises(ValueError,
+                       match="^structure name must be a string, got "):
+        structure_from_json(data)
+    data["name"] = None
+    assert structure_from_json(data).name is None
 
 
 def test_identity_is_always_an_endomorphism():

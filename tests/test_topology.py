@@ -253,6 +253,30 @@ def test_density_profile_monotone():
     assert isinstance(reports[0], DensityReport)
 
 
+def test_density_counts_and_verdict_are_read_off_the_witnesses():
+    succ = make_op(RATIONALS, 1, rule=lambda x: x + 1)
+    full = window(B, [0, 1])
+    reports = [
+        is_dense_at_window([ID, NOT], [ID, NOT], full),
+        is_dense_at_window([ID], [ID, C0], full),
+        is_dense_at_window([ID], [C0], full),
+        is_dense_at_window([succ], [succ], default_window(RATIONALS, 1)),
+        is_dense_at_window([ID], [], full),
+        *density_profile([ID], [ID, C0], window_chain(B, 1)),
+    ]
+    for report in reports:
+        found = [g for _, g in report.witnesses if g is not None]
+        assert report.matched == len(found)
+        assert report.total == len(report.witnesses)
+        assert report.dense == (len(found) == len(report.witnesses))
+        data = report.to_json()
+        assert (data["matched"], data["total"]) == (len(found),
+                                                    len(report.witnesses))
+    assert [r.verdict for r in reports] == [
+        "dense-at-window", "gap-found", "gap-found", "dense-at-window",
+        "dense-at-window", "dense-at-window", "gap-found"]
+
+
 def test_unary_fragment_dense_in_larger_fragment_at_point():
     # at the single-point window {0} the AND fragment covers the OR
     # fragment, since AND and OR agree on (0, 0); the full window
