@@ -56,6 +56,7 @@ from .fnspace import (
     conjugate_op,
     exact_int,
     finite_carrier,
+    json_object,
     make_op,
     projection,
 )
@@ -690,7 +691,11 @@ def fragment_to_json(frag: CloneFragment) -> dict:
 def fragment_from_json(data: dict) -> CloneFragment:
     carrier = carrier_from_json(data["carrier"])
     grouped: Dict[int, List[FinOp]] = {}
-    for key, entries in data["ops"].items():
+    for key, entries in json_object(data["ops"], "ops").items():
+        # "01" or "1_0" would read as another arity's key
+        if not (key.isdecimal() and str(int(key)) == key):
+            raise ValueError(f"arity key must be a decimal integer, "
+                             f"got {key!r}")
         arity = int(key)
         grouped[arity] = [make_op(carrier, arity, table=entry["table"]
                                   if isinstance(entry, dict) else entry)

@@ -564,6 +564,14 @@ def exact_int(value, what: str) -> int:
     return value
 
 
+def json_object(value, what: str) -> dict:
+    """A JSON object as it is; an array, a string or anything else
+    raises."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def carrier_to_json(carrier: Carrier) -> dict:
     if carrier.kind == FINITE:
         return {"kind": "finite", "size": carrier.size}
@@ -573,7 +581,7 @@ def carrier_to_json(carrier: Carrier) -> dict:
 
 
 def carrier_from_json(data: dict) -> Carrier:
-    kind = data.get("kind")
+    kind = json_object(data, "carrier").get("kind")
     if kind == "finite":
         return finite_carrier(exact_int(data["size"], "carrier size"))
     if kind == "rationals":

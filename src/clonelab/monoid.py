@@ -4,9 +4,10 @@ A :class:`MonoidSet` is a set of unary operations.  On a finite carrier it
 is extensional: the operations are stored as sorted value tables and the
 closure, invertibility, transitivity and directedness questions below are
 all decided by finite search, and so are its identity and closure flags,
-read off the members.  On a lazy carrier a MonoidSet is only a generator
-presentation; operations that need to enumerate the whole set raise
-:class:`~clonelab.errors.UnsupportedLazyCarrier`, and the lazy
+read off the members; one Cayley-graph walk decides closure and carries
+the endomorphism search.  On a lazy carrier a MonoidSet is only a
+generator presentation; operations that need to enumerate the whole set
+raise :class:`~clonelab.errors.UnsupportedLazyCarrier`, and the lazy
 structures are served instead by the back-and-forth machinery.
 
 Weak directedness is the key hypothesis used by the conjugation-lifting
@@ -36,6 +37,7 @@ from .fnspace import (
     equal_on_window,
     identity_op,
     inverse_table,
+    json_object,
     make_op,
     op_from_json,
 )
@@ -63,9 +65,7 @@ class MonoidSet:
     def closed_under_composition(self) -> Optional[bool]:
         if not self.carrier.is_finite:
             return None
-        tables = {op.table for op in self.ops}
-        return all(compose_tables(f, (g,), self.carrier.size, 1) in tables
-                   for f in tables for g in tables)
+        return _cayley_walk(self.tables())[3]
 
     def __iter__(self):
         return iter(self.ops)
@@ -269,17 +269,18 @@ def injective_endos_fixing(m: MonoidSet, fixed: Iterable[FinOp]):
     """All injective monoid endomorphisms of a finite monoid that fix the
     given members pointwise.
 
-    The monoid must be composition closed and contain the identity, which
-    are read off the composition table the search is built on.  On a
-    finite monoid injectivity forces bijectivity.  An endomorphism psi is
-    fixed by the images of a generating set, taken from a Cayley-graph
-    search (:func:`_cayley_steps`) with the fixed members first, so that
-    their images are pinned.  The search gives each generator in turn
-    every image not yet used, extends psi along the search tree by
-    psi(g t) = psi(g) psi(t), and drops the branch as soon as an edge of
-    the graph contradicts that rule, psi hits a member twice, or it
-    moves a fixed member.  A psi that respects every edge respects every
-    composition (induction on the length of a word in the generators).
+    The monoid must be composition closed and contain the identity,
+    which the Cayley-graph walk (:func:`_cayley_walk`) the search is
+    built on decides.  On a finite monoid injectivity forces
+    bijectivity.  An endomorphism psi is fixed by the images of the
+    walk's generators, the fixed members first, so that their images are
+    pinned.  The search gives each generator in turn every image not yet
+    used, extends psi along the walk by psi(g t) = psi(g) psi(t), reading
+    each product from the walk's and composing it only if missing, and
+    drops the branch as soon as an edge of the graph contradicts that
+    rule, psi hits a member twice, or it moves a fixed member.  A psi
+    that respects every edge respects every composition (induction on
+    the length of a word in the generators).
 
     Returns a sorted list of index permutations: entry k of a result is
     the index of the image of member k in canonical table order.  The
@@ -290,25 +291,25 @@ def injective_endos_fixing(m: MonoidSet, fixed: Iterable[FinOp]):
     index = {t: i for i, t in enumerate(tables)}
     n = len(tables)
     size = m.carrier.size
-    comp = [[index.get(compose_tables(f, (g,), size, 1)) for g in tables]
-            for f in tables]
-    if any(None in row for row in comp):
+    fixed = list(fixed)
+    fixed_idx = {index.get(op.table) for op in fixed}
+    gens, steps, products, closed = _cayley_walk(
+        tables, sorted(fixed_idx - {None}))
+    if not closed:
         raise ValueError("monoid must be closed under composition")
     id_idx = index.get(identity_op(m.carrier).table)
     if id_idx is None:
         raise ValueError("monoid must contain the identity")
-
-    fixed_idx = {id_idx}
     for op in fixed:
         if op.table not in index:
             raise ValueError(f"fixed member {op!r} is not in the monoid")
-        fixed_idx.add(index[op.table])
+    fixed_idx.add(id_idx)
     movable = [i for i in range(n) if i not in fixed_idx]
-    gens, steps = _cayley_steps(comp, id_idx, sorted(fixed_idx) + list(range(n)))
 
     results = []
     psi = [id_idx] * n
-    used = {id_idx}
+    used = [False] * n
+    used[id_idx] = True
 
     def extend(j: int):
         if j == len(gens):
@@ -316,47 +317,62 @@ def injective_endos_fixing(m: MonoidSet, fixed: Iterable[FinOp]):
             return
         x = gens[j]
         for image in ((x,) if x in fixed_idx else movable):
-            if image in used:
+            if used[image]:
                 continue
             psi[x] = image
             added = [image]
-            used.add(image)
+            used[image] = True
             for w, g, t, new in steps[j]:
-                v = comp[psi[g]][psi[t]]
+                a, b = psi[g], psi[t]
+                v = products[a].get(b)
+                if v is None:
+                    v = products[a][b] = index[compose_tables(
+                        tables[a], (tables[b],), size, 1)]
                 if not new:
                     if psi[w] != v:
                         break
-                elif v in used or (w in fixed_idx and v != w):
+                elif used[v] or (w in fixed_idx and v != w):
                     break
                 else:
                     psi[w] = v
                     added.append(v)
-                    used.add(v)
+                    used[v] = True
             else:
                 extend(j + 1)
-            used.difference_update(added)
+            for u in added:
+                used[u] = False
 
     extend(0)
     results.sort()
     return results
 
 
-def _cayley_steps(comp, root: int, order):
-    """Generators of a finite monoid and, for each, the Cayley-graph
-    edges it adds.
+def _cayley_walk(tables, first=()):
+    """Generators of a finite set of unary maps, the Cayley-graph edges
+    each adds, the products composed, and whether the set is closed.
 
-    ``comp[g][t]`` is the index of g o t and ``root`` that of the
-    identity.  Walking ``order``, each member not yet reached from the
-    root by left multiplication with the generators so far becomes the
-    next generator.  Its step lists the edges (w, g, t), w = g o t, for
-    every reached t with the new generator and for every newly reached t
-    with every generator, in search order; ``new`` marks the edge that
-    first reaches w.  Across the steps every edge appears once.
+    The root is the identity when it is a member.  Walking ``first``,
+    then the members by image size (largest first) and table order, each
+    member not yet reached from the root by left multiplication with the
+    generators so far becomes the next generator.  Its step lists the
+    edges (w, g, t), w = g o t, for every reached t but the root with the
+    new generator and for every newly reached t with every generator, in
+    search order; ``new`` marks the edge that first reaches w.  Each edge
+    is composed once and recorded as ``products[g][t] = w``.
+
+    The walk stops at the first edge that leaves the set.  Otherwise g o s
+    is in the set for every generator g and member s, and so is x o y, by
+    folding x, a word in the generators, from the right (Froidure and Pin,
+    1997).  Returns (gens, steps, products, closed).
     """
-    reached = [root]
+    index = {t: i for i, t in enumerate(tables)}
+    size = len(tables[0]) if tables else 0
+    root = index.get(tuple(range(size)))
     seen = {root}
-    gens, steps = [], []
-    for x in order:
+    reached, gens, steps = [], [], []
+    products = [{} for _ in tables]
+    ranked = sorted(range(len(tables)), key=lambda i: -len(set(tables[i])))
+    for x in [*first, *ranked]:
         if x in seen:
             continue
         gens.append(x)
@@ -365,7 +381,10 @@ def _cayley_steps(comp, root: int, order):
         reached.append(x)
         step = []
         for t, g in queue:
-            w = comp[g][t]
+            w = index.get(compose_tables(tables[g], (tables[t],), size, 1))
+            if w is None:
+                return gens, steps, products, False
+            products[g][t] = w
             new = w not in seen
             if new:
                 seen.add(w)
@@ -373,7 +392,7 @@ def _cayley_steps(comp, root: int, order):
                 queue.extend((w, h) for h in gens)
             step.append((w, g, t, new))
         steps.append(step)
-    return gens, steps
+    return gens, steps, products, True
 
 
 def endo_report(m: MonoidSet, fixed: Iterable[FinOp]) -> dict:
@@ -440,5 +459,5 @@ def monoid_from_json(data: dict) -> MonoidSet:
     carrier = carrier_from_json(data["carrier"])
     ops = [op_from_json(entry, carrier) if isinstance(entry, dict)
            else make_op(carrier, 1, table=entry) for entry in data["ops"]]
-    flags = data.get("flags", {})
+    flags = json_object(data.get("flags", {}), "flags")
     return monoid_set(carrier, ops, closed=flags.get("closed_under_composition"))

@@ -9,10 +9,10 @@ compatible), and the two-element monoid {identity, swap} is rigid.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from clonelab import monoid as monoid_module
@@ -130,13 +130,17 @@ def test_invertibles_computes_both_flags():
     assert invertibles(monoid_set(B3, [s01])).contains_identity is False
 
 
+def closed_by_all_pairs(tables):
+    """The all-pairs oracle for closure: every composite of two members
+    is a member."""
+    known = set(tables)
+    return all(tuple(f[x] for x in g) in known for f in known for g in known)
+
+
 def flags_by_all_pairs(tables, size):
     """The exhaustive oracle for both flags: whether the identity is a
     member, and whether every composite of two members is one."""
-    known = set(tables)
-    return (tuple(range(size)) in known,
-            all(tuple(f[g[x]] for x in range(size)) in known
-                for f in known for g in known))
+    return tuple(range(size)) in tables, closed_by_all_pairs(tables)
 
 
 @given(data=st.data())
@@ -163,6 +167,77 @@ def test_every_builder_gets_both_flags_of_the_all_pairs_oracle(data):
            and tuple(t.index(y) for y in range(size)) in tables
            for t in tables):
         agrees(group_set(carrier, ops))
+
+
+@st.composite
+def map_sets(draw):
+    """(size, tables): 0-6 random maps on 1-4 points, taken as they are,
+    as their closure (when it stays small), or as that closure less one
+    member, and then with the identity added or removed."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    table = st.tuples(*[st.integers(0, size - 1)] * size)
+    tables = set(draw(st.lists(table, max_size=6)))
+    shape = draw(st.sampled_from(["as drawn", "closure", "closure less one"]))
+    if shape != "as drawn" and tables:
+        carrier = finite_carrier(size)
+        try:
+            tables = set(close_under_composition(
+                [make_op(carrier, 1, table=t) for t in tables],
+                include_identity=draw(st.booleans()), cap=64).tables())
+        except BudgetExceeded:
+            pass
+        if shape == "closure less one":
+            tables.discard(draw(st.sampled_from(sorted(tables))))
+    identity = tuple(range(size))
+    if draw(st.booleans()):
+        tables.symmetric_difference_update({identity})
+    return size, sorted(tables)
+
+
+@given(case=map_sets())
+@example(case=(2, []))
+# the constants: closed without the identity
+@example(case=(2, [(0, 0), (1, 1)]))
+# the only product that leaves the set, (1 0 2) o c0 = c1, is an edge of
+# the walk's last generator c0
+@example(case=(3, [(0, 0, 0), (0, 1, 2), (1, 0, 2)]))
+@settings(max_examples=300, deadline=None)
+def test_the_walk_decides_closure_as_all_pairs_do(case):
+    size, tables = case
+    carrier = finite_carrier(size)
+    m = MonoidSet(carrier, tuple(make_op(carrier, 1, table=t)
+                                 for t in tables))
+    assert m.closed_under_composition is closed_by_all_pairs(tables)
+
+
+def full_transformation_monoid(size):
+    carrier = finite_carrier(size)
+    return MonoidSet(carrier, tuple(make_op(carrier, 1, table=t) for t in
+                                    product(range(size), repeat=size)))
+
+
+@pytest.mark.parametrize("size, generators, composed", [
+    (4, 4, 1020), (5, 5, 15620)])
+def test_the_closure_walk_composes_each_generator_with_each_member(
+        monkeypatch, size, generators, composed):
+    # all pairs composed 65,536 products on T4 and 9,765,625 on T5; the
+    # walk takes the permutations first, so it needs the generators of
+    # the symmetric group and one map of rank size - 1, and composes
+    # each with every member but the identity
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compose_tables(*args)
+
+    compose_tables = monoid_module.compose_tables
+    monkeypatch.setattr(monoid_module, "compose_tables", counted)
+    m = full_transformation_monoid(size)
+    assert m.closed_under_composition is True
+    n = size ** size
+    assert len(calls) == composed == generators * (n - 1)
+    assert len(set(calls)) == len(calls)
+    assert composed <= (size + 1) * n
 
 
 def test_flags_are_computed_once_and_stay_out_of_equality(monkeypatch):
@@ -388,9 +463,14 @@ def test_the_closure_precondition_is_reported_before_the_identity():
 
 def endos_by_permutations(m, fixed):
     """The exhaustive oracle: every permutation of the members that fixes
-    the identity and ``fixed`` and respects the composition table."""
+    the identity and ``fixed`` and respects the composition table, after
+    the preconditions are checked on all pairs."""
     tables = m.tables()
     size = m.carrier.size
+    if not closed_by_all_pairs(tables):
+        raise ValueError("monoid must be closed under composition")
+    if tuple(range(size)) not in tables:
+        raise ValueError("monoid must contain the identity")
     index = {t: i for i, t in enumerate(tables)}
     comp = [[index[tuple(f[g[x]] for x in range(size))] for g in tables]
             for f in tables]
@@ -407,8 +487,16 @@ def endos_by_permutations(m, fixed):
     return found
 
 
+def outcome(search, m, fixed):
+    """The maps a search returns, or the message of its ValueError."""
+    try:
+        return search(m, fixed)
+    except ValueError as exc:
+        return str(exc)
+
+
 @given(data=st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_endos_agree_with_the_permutation_search(data):
     size = data.draw(st.integers(min_value=2, max_value=4))
     carrier = finite_carrier(size)
@@ -416,11 +504,23 @@ def test_endos_agree_with_the_permutation_search(data):
         st.lists(st.integers(0, size - 1), min_size=size, max_size=size)))
         for _ in range(data.draw(st.integers(min_value=1, max_value=3)))]
     try:
-        m = close_under_composition(gens, cap=7)
+        m = close_under_composition(
+            gens, include_identity=data.draw(st.booleans()), cap=7)
     except BudgetExceeded:
         reject()
-    fixed = data.draw(st.lists(st.sampled_from(m.ops), max_size=1))
-    assert injective_endos_fixing(m, fixed) == endos_by_permutations(m, fixed)
+    ops = list(m.ops)
+    change = data.draw(st.sampled_from(["none", "less one", "one more"]))
+    others = [op for op in ops if op.table != tuple(range(size))]
+    if change == "less one" and others:
+        # a member less, which is often a product of those left
+        ops.remove(data.draw(st.sampled_from(others)))
+    elif change == "one more":
+        ops.append(make_op(carrier, 1, table=data.draw(st.lists(
+            st.integers(0, size - 1), min_size=size, max_size=size))))
+    m = monoid_set(carrier, ops)
+    fixed = data.draw(st.lists(st.sampled_from(ops), max_size=1)) if ops else []
+    assert outcome(injective_endos_fixing, m, fixed) \
+        == outcome(endos_by_permutations, m, fixed)
 
 
 def test_endos_of_s4_are_its_inner_automorphisms():
